@@ -1,24 +1,16 @@
-"""Executor + engine perf benchmark: parallel sweeps and hot-path wins.
+"""Executor perf benchmark: parallel simulation sweeps.
 
-Two claims, each measured against the code path it replaced and asserted
-bit-identical:
+32 independent simulation points fanned across a 4-worker process pool
+via :func:`repro.exec.runner.run_many` versus the same jobs run serially,
+asserted bit-identical.  The speedup bar scales with the CPUs this machine
+actually exposes: >= 2x where >= 4 cores are available (the
+paper-reproduction target), a proportional floor on 2-3 cores, and
+correctness-only (bit-identical records) on single-core boxes, where a
+process pool cannot beat physics.
 
-1. **Parallel sweep** — 32 independent simulation points fanned across a
-   4-worker process pool via :func:`repro.exec.runner.run_many` versus the
-   same jobs run serially.  The speedup bar scales with the CPUs this
-   machine actually exposes: >= 2x where >= 4 cores are available (the
-   paper-reproduction target), a proportional floor on 2-3 cores, and
-   correctness-only (bit-identical records) on single-core boxes, where a
-   process pool cannot beat physics.
-2. **Engine hot paths** — the 10-minute trace of
-   ``benchmarks/test_perf_simulator.py`` with ``fast_engine=True``
-   (incrementally maintained occupancy/context counters, pure-python
-   context means) versus ``fast_engine=False`` (the seed's per-event scans
-   and numpy round-trips).  Single process, same machine: >= 1.3x locally,
-   with a relaxed CI floor against shared-runner noise.
-
-Each run appends its numbers to ``benchmarks/BENCH_sweep.json`` — the
-trajectory artifact CI uploads.
+The engine hot path itself is measured by the repository benchmark
+(``perfbench/``, workload ``hotpath_h100``).  Each run appends its numbers
+to ``benchmarks/BENCH_sweep.json`` — the trajectory artifact CI uploads.
 """
 
 from __future__ import annotations
@@ -28,8 +20,8 @@ import os
 import time
 from pathlib import Path
 
-from repro.cluster.scheduler import ColocatedPool, InstanceSpec, PhasePools
-from repro.cluster.simulator import ColocatedSimulator, ServingSimulator, SimConfig
+from repro.cluster.scheduler import ColocatedPool, InstanceSpec
+from repro.cluster.simulator import ColocatedSimulator, SimConfig
 from repro.exec.runner import Job, effective_workers, run_many
 from repro.hardware.gpu import H100
 from repro.workloads.models import LLAMA3_8B
@@ -140,67 +132,3 @@ def test_parallel_sweep_speedup(benchmark):
     assert speedup >= 1.0 or floor is not None
     if floor is not None:
         assert speedup >= floor, f"expected >={floor}x on {effective} workers, got {speedup:.2f}x"
-
-
-# The exact scenario of benchmarks/test_perf_simulator.py: a 10-minute
-# trace, ~280k decode-iteration events.
-HOTPATH_TRACE = generate_trace(
-    TraceConfig(rate=3.0, duration=600.0, output_tokens=150, output_spread=0.5), seed=21
-)
-
-HOTPATH_POOLS = PhasePools(
-    prefill=InstanceSpec(LLAMA3_8B, H100, 1),
-    n_prefill=2,
-    decode=InstanceSpec(LLAMA3_8B, H100, 1),
-    n_decode=2,
-    max_prefill_batch=4,
-    max_decode_batch=128,
-)
-
-
-def _timed_engine_run(config: SimConfig):
-    simulator = ServingSimulator(HOTPATH_POOLS, config)
-    start = time.perf_counter()
-    report = simulator.run(HOTPATH_TRACE)
-    return report, time.perf_counter() - start
-
-
-def test_engine_hot_path_speedup(benchmark):
-    def run():
-        legacy = _timed_engine_run(SimConfig(max_sim_time=1800.0, fast_engine=False))
-        # Best of two fast runs: a scheduler stall during the (short) fast
-        # run is the one noise source that could fake a regression.
-        fast = min(
-            (_timed_engine_run(SimConfig(max_sim_time=1800.0)) for _ in range(2)),
-            key=lambda result: result[1],
-        )
-        return legacy, fast
-
-    (report_legacy, t_legacy), (report_fast, t_fast) = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    speedup = t_legacy / t_fast
-    emit(
-        "Engine hot paths: 10-minute trace, incremental counters vs per-event scans",
-        f"trace:  {len(HOTPATH_TRACE)} requests\n"
-        f"legacy: {t_legacy:.2f}s wall (per-event occupancy scans + numpy context means)\n"
-        f"fast:   {t_fast:.2f}s wall (incremental integer counters)\n"
-        f"speedup: {speedup:.2f}x",
-    )
-    _record_artifact(
-        "engine_hot_paths",
-        {
-            "requests": len(HOTPATH_TRACE),
-            "legacy_s": t_legacy,
-            "fast_s": t_fast,
-            "speedup": speedup,
-        },
-    )
-    # The counters are integer sums of exactly the scanned terms: reports
-    # must match float-for-float, not approximately.
-    assert report_legacy == report_fast
-    assert report_fast.completed == len(HOTPATH_TRACE)
-    # Measured ~2.5x locally; the acceptance bar is 1.3x, relaxed on shared
-    # CI runners so scheduler noise can't block the matrix.
-    floor = 1.1 if os.environ.get("CI") else 1.3
-    assert speedup >= floor, f"expected >={floor}x speedup, got {speedup:.2f}x"

@@ -14,7 +14,8 @@ hardcoded FCFS decisions.  This module is the refactored engine room:
   ≤ one bucket of context for large wall-clock wins);
 - :class:`PhaseSplitEngine` and :class:`ColocatedEngine` — the two
   deployment shapes, both driven by a :class:`repro.cluster.policies`
-  bundle instead of baked-in scheduling.
+  bundle instead of baked-in scheduling, over one shared event loop,
+  request lifecycle and decode-tick core.
 
 With the default ``"fcfs"`` bundle and ``context_bucket=1``,
 :class:`PhaseSplitEngine` reproduces the seed simulator event-for-event
@@ -32,6 +33,7 @@ import copy
 import heapq
 import itertools
 import math
+from array import array
 from collections import deque
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
@@ -180,12 +182,11 @@ class ServiceTimeProvider(AbstractServiceTimeProvider):
     (a conservative latency estimate) and the hit rate soars.
     """
 
-    def __init__(self, instance: InstanceSpec, context_bucket: int = 1, cache: bool = True) -> None:
+    def __init__(self, instance: InstanceSpec, context_bucket: int = 1) -> None:
         if context_bucket < 1:
             raise SpecError("context_bucket must be at least 1")
         self.instance = instance
         self.context_bucket = int(context_bucket)
-        self.cache_enabled = cache
         self._cache: Dict[tuple, float] = {}
         self.hits = 0
         self.misses = 0
@@ -198,15 +199,13 @@ class ServiceTimeProvider(AbstractServiceTimeProvider):
         return ((length + b - 1) // b) * b
 
     def _memo(self, key: tuple, compute) -> float:
-        if self.cache_enabled:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self.hits += 1
-                return cached
+        cached = self._cache.get(key)
+        if cached is not None:
+            self.hits += 1
+            return cached
         self.misses += 1
         value = compute()
-        if self.cache_enabled:
-            self._cache[key] = value
+        self._cache[key] = value
         return value
 
     def prefill_time(self, batch: int, prompt_len: int, instance: int = 0) -> float:
@@ -277,10 +276,8 @@ class NetworkAwareServiceTimeProvider(ServiceTimeProvider):
         topology: Topology,
         groups: Sequence[Tuple[int, ...]],
         context_bucket: int = 1,
-        cache: bool = True,
-        contention: bool = True,
     ) -> None:
-        super().__init__(instance, context_bucket, cache)
+        super().__init__(instance, context_bucket)
         if not groups:
             raise SpecError("network-aware provider needs at least one placed group")
         for group in groups:
@@ -290,7 +287,6 @@ class NetworkAwareServiceTimeProvider(ServiceTimeProvider):
                 )
         self.topology = topology
         self.groups = tuple(tuple(g) for g in groups)
-        self.contention_enabled = contention
         # Per-group fabric parameters, deduplicated: packed placements give
         # every instance an identical (hops, contention) signature, so the
         # overhead memo below collapses to one entry per distinct signature.
@@ -304,9 +300,7 @@ class NetworkAwareServiceTimeProvider(ServiceTimeProvider):
             max_hops = max(
                 topology.hop_count(a, b) for i, a in enumerate(group) for b in group[i + 1 :]
             )
-            slowdown = 1.0
-            if contention:
-                slowdown = max(1.0, congestion_slowdown(topology, self._ring_matrix(group)))
+            slowdown = max(1.0, congestion_slowdown(topology, self._ring_matrix(group)))
             self._params.append((world, max_hops, slowdown, bandwidth))
         self._overhead_cache: Dict[tuple, float] = {}
 
@@ -334,17 +328,15 @@ class NetworkAwareServiceTimeProvider(ServiceTimeProvider):
         if world == 1 or tokens <= 0:
             return 0.0
         key = (world, max_hops, slowdown, tokens)
-        if self.cache_enabled:
-            cached = self._overhead_cache.get(key)
-            if cached is not None:
-                return cached
+        cached = self._overhead_cache.get(key)
+        if cached is not None:
+            return cached
         spec = self.instance
         size = tokens * spec.model.hidden * spec.policy.act_bytes
         alpha = spec.policy.alpha * max(1, max_hops)
         per_layer = cost_for(Collective.ALL_REDUCE, size, world, bandwidth, alpha).time
         overhead = 2.0 * spec.model.layers * per_layer * slowdown
-        if self.cache_enabled:
-            self._overhead_cache[key] = overhead
+        self._overhead_cache[key] = overhead
         return overhead
 
     def prefill_time(self, batch: int, prompt_len: int, instance: int = 0) -> float:
@@ -371,18 +363,6 @@ class NetworkAwareServiceTimeProvider(ServiceTimeProvider):
 
 
 # --- instance state machines ------------------------------------------------
-#
-# Every instance state carries the same lifecycle block, maintained by the
-# engines' control plane:
-#
-# - ``spawned_at`` / ``up_from``  — when the instance was provisioned and
-#   when its warm-up (weight load) completes; work is only offered from
-#   ``up_from`` on, but GPU-seconds accrue from ``spawned_at`` (the
-#   provisioning cost of a scale-up);
-# - ``draining`` — no new work; resident sequences finish;
-# - ``retired`` / ``retired_at`` — the instance released its GPUs;
-# - ``energy_busy`` — busy seconds weighted by the DVFS power ratio in
-#   effect when each batch ran (the integrand of the energy accounting).
 
 
 def _available(state, time: float) -> bool:
@@ -399,37 +379,37 @@ def _available(state, time: float) -> bool:
 class ActiveSequence:
     """A sequence resident in a decode (or colocated) instance.
 
-    Under the fast engine the per-sequence bookkeeping is implicit: every
-    resident sequence of an instance experiences the same iterations, so
-    the engine keeps one shared iteration log per instance and each
-    sequence only remembers ``start_iter`` — the instance iteration count
-    at admission.  Its generated-token count is then always
-    ``iter_count - start_iter`` and its per-token latencies are the log
-    tail from ``start_iter``; neither needs per-sequence appends.  The
-    legacy path (``fast_engine=False``) still maintains ``generated`` and
-    ``iteration_times`` explicitly, one append per sequence per tick.
+    Every resident sequence of an instance experiences the same iterations,
+    so the instance keeps one shared iteration log and each sequence only
+    remembers ``start_iter`` — the instance iteration count at admission.
+    Its generated-token count is always ``iter_count - start_iter``, its
+    per-token latencies are the log tail from ``start_iter``, and it
+    completes when the count reaches ``start_iter + output_tokens``, at
+    context ``request.total_tokens``.
     """
 
     request: Request
-    generated: int = 0
-    ttft_done: float = 0.0
-    iteration_times: List[float] = field(default_factory=list)
     start_iter: int = 0
-
-    @property
-    def context_len(self) -> int:
-        return self.request.prompt_tokens + self.generated
-
-    @property
-    def done(self) -> bool:
-        return self.generated >= self.request.output_tokens
 
 
 @dataclass
-class PrefillState:
-    """One prefill instance: either idle, running a batch, or down."""
+class _Lifecycle:
+    """The lifecycle block every instance state carries.
 
-    busy: bool = False
+    Maintained by the engines' control plane:
+
+    - ``spawned_at`` / ``up_from`` — when the instance was provisioned and
+      when its warm-up (weight load) completes; work is only offered from
+      ``up_from`` on, but GPU-seconds accrue from ``spawned_at`` (the
+      provisioning cost of a scale-up);
+    - ``down_until`` — the end of the current failure outage;
+    - ``draining`` — no new work; resident sequences finish;
+    - ``retired`` / ``retired_at`` — the instance released its GPUs;
+    - ``busy_time`` / ``energy_busy`` — busy seconds, and busy seconds
+      weighted by the DVFS power ratio in effect when each batch ran (the
+      integrand of the energy accounting).
+    """
+
     down_until: float = 0.0
     busy_time: float = 0.0
     spawned_at: float = 0.0
@@ -441,7 +421,21 @@ class PrefillState:
 
 
 @dataclass
-class DecodeState:
+class PrefillState(_Lifecycle):
+    """One prefill instance: either idle, running a batch, or down."""
+
+    busy: bool = False
+
+    #: A prefill batch hands its KV state on to decode, so an instance
+    #: holds none between batches.
+    occupied = 0
+
+    def has_work(self) -> bool:
+        return self.busy
+
+
+@dataclass
+class DecodeState(_Lifecycle):
     """One decode instance running continuous batching.
 
     ``occupied`` (final KV footprints of resident sequences) and
@@ -449,40 +443,52 @@ class DecodeState:
     incrementally by the engine — integer arithmetic, so they are exactly
     the sums the seed recomputed by scanning ``active`` on every event.
 
-    The fast engine adds the shared-iteration structures: ``iter_log`` is
-    the latency of every iteration this instance ran (pruned below the
-    oldest resident ``start_iter``, with ``log_base`` tracking the prune
-    offset), ``iter_count`` the lifetime iteration count, and ``due`` maps
-    a future iteration count to the sequences completing exactly there —
-    a sequence admitted at count ``c`` with ``n`` output tokens finishes
-    when the count reaches ``c + n``, so the per-tick completion scan is
-    one dict pop instead of a walk over the whole batch.
+    ``iter_log`` is the latency of every iteration this instance ran
+    (pruned below the oldest resident ``start_iter``, with ``log_base``
+    tracking the prune offset), ``iter_count`` the lifetime iteration
+    count, and ``due`` maps a future iteration count to the sequences
+    completing exactly there — a sequence admitted at count ``c`` with
+    ``n`` output tokens finishes when the count reaches ``c + n``, so the
+    per-tick completion scan is one dict pop instead of a walk over the
+    whole batch.
     """
 
     active: List[ActiveSequence] = field(default_factory=list)
     busy_until: float = 0.0
     running: bool = False
-    down_until: float = 0.0
-    busy_time: float = 0.0
     occupied: int = 0
     context_sum: int = 0
-    spawned_at: float = 0.0
-    up_from: float = 0.0
-    draining: bool = False
-    retired: bool = False
-    retired_at: float = math.inf
-    energy_busy: float = 0.0
-    iter_log: List[float] = field(default_factory=list)
+    iter_log: array = field(default_factory=lambda: array("d"))
     log_base: int = 0
     iter_count: int = 0
     due: Dict[int, List[ActiveSequence]] = field(default_factory=dict)
 
-    def occupied_tokens(self) -> int:
-        return self.occupied
+    def has_work(self) -> bool:
+        return bool(self.active)
 
-    def scan_occupied_tokens(self) -> int:
-        """Recount by scanning (the seed's per-event path; benchmark baseline)."""
-        return sum(s.request.total_tokens for s in self.active)
+    def join(self, request: Request) -> None:
+        """Add ``request`` to the decode batch; its first token is the next iteration's."""
+        seq = ActiveSequence(request, self.iter_count)
+        self.active.append(seq)
+        self.context_sum += request.prompt_tokens
+        self.due.setdefault(self.iter_count + request.output_tokens, []).append(seq)
+
+    def evict(self) -> Tuple[List[Tuple[Request, int]], List[Request]]:
+        """Drop every resident sequence (a failure wiped the KV state).
+
+        Returns ``(lost, unstarted)``: each lost request with the tokens it
+        had generated, and admitted requests whose work had not started.
+        """
+        lost = [(seq.request, self.iter_count - seq.start_iter) for seq in self.active]
+        self.active.clear()
+        self.due.clear()
+        # ``del [:]``, not ``clear()``: arrays only gained clear() in 3.13.
+        del self.iter_log[:]
+        self.log_base = self.iter_count
+        self.occupied = 0
+        self.context_sum = 0
+        self.running = False
+        return lost, []
 
 
 @dataclass
@@ -494,56 +500,38 @@ class PartialPrefill:
 
 
 @dataclass
-class ColocatedState:
+class ColocatedState(DecodeState):
     """One colocated instance: decode batch + in-progress chunked prefill.
 
     ``occupied`` covers every committed sequence (decoding, chunking, or
     waiting to chunk); ``context_sum`` covers only the decoding batch.
-    Both are engine-maintained integer counters equal to the scans the
-    seed ran per event.  ``iter_log``/``log_base``/``iter_count``/``due``
-    are the fast engine's shared-iteration structures (see
-    :class:`DecodeState`); chunk-only iterations (empty decode batch) are
-    logged too, so a joining sequence's ``start_iter`` always indexes the
-    log consistently.
+    Chunk-only iterations (empty decode batch) are logged too, so a joining
+    sequence's ``start_iter`` always indexes the log consistently.
     """
 
-    active: List[ActiveSequence] = field(default_factory=list)
     backlog: Deque[PartialPrefill] = field(default_factory=deque)
     current: Optional[PartialPrefill] = None
-    busy_until: float = 0.0
-    running: bool = False
-    down_until: float = 0.0
-    busy_time: float = 0.0
-    occupied: int = 0
-    context_sum: int = 0
-    spawned_at: float = 0.0
-    up_from: float = 0.0
-    draining: bool = False
-    retired: bool = False
-    retired_at: float = math.inf
-    energy_busy: float = 0.0
-    iter_log: List[float] = field(default_factory=list)
-    log_base: int = 0
-    iter_count: int = 0
-    due: Dict[int, List[ActiveSequence]] = field(default_factory=dict)
 
     def committed(self) -> int:
         """Sequences holding a slot (decoding, chunking, or waiting to chunk)."""
         return len(self.active) + len(self.backlog) + (1 if self.current else 0)
 
-    def occupied_tokens(self) -> int:
-        return self.occupied
-
-    def scan_occupied_tokens(self) -> int:
-        """Recount by scanning (the seed's per-event path; benchmark baseline)."""
-        tokens = sum(s.request.total_tokens for s in self.active)
-        tokens += sum(p.request.total_tokens for p in self.backlog)
-        if self.current is not None:
-            tokens += self.current.request.total_tokens
-        return tokens
-
     def has_work(self) -> bool:
         return bool(self.active or self.backlog or self.current)
+
+    def evict(self) -> Tuple[List[Tuple[Request, int]], List[Request]]:
+        # A partially chunked prompt has generated nothing; the backlog was
+        # admitted but never chunked, so it loses no work.
+        lost, _ = super().evict()
+        if self.current is not None:
+            lost.append((self.current.request, 0))
+        unstarted = [partial.request for partial in self.backlog]
+        self.backlog.clear()
+        self.current = None
+        return lost, unstarted
+
+
+_STATE_TYPES = {"prefill": PrefillState, "decode": DecodeState, "colocated": ColocatedState}
 
 
 @dataclass(frozen=True)
@@ -562,20 +550,7 @@ class CompletedRequest:
 _LOG_PRUNE = 4096
 
 
-def _register_due(inst, seq: ActiveSequence) -> None:
-    """Schedule ``seq``'s completion at its exact future iteration count."""
-    seq.start_iter = inst.iter_count
-    inst.due.setdefault(inst.iter_count + seq.request.output_tokens, []).append(seq)
-
-
-def _clear_iter_log(inst) -> None:
-    """Forget the instance's shared-iteration state (failure wiped it)."""
-    inst.due.clear()
-    inst.iter_log.clear()
-    inst.log_base = inst.iter_count
-
-
-def _prune_iter_log(inst) -> None:
+def _prune_iter_log(inst: DecodeState) -> None:
     """Drop log entries below every resident sequence's ``start_iter``."""
     if len(inst.iter_log) < 2 * _LOG_PRUNE:
         return
@@ -586,12 +561,12 @@ def _prune_iter_log(inst) -> None:
         inst.log_base = base
 
 
-def _tail_mean(inst, seq: ActiveSequence) -> float:
+def _tail_mean(inst: DecodeState, seq: ActiveSequence) -> float:
     """Mean per-token latency of a sequence completing *now*.
 
-    The log tail from ``start_iter`` is exactly the latencies the legacy
-    path appended to ``seq.iteration_times`` — same floats, same order, so
-    ``np.mean`` is bit-identical.
+    The log tail from ``start_iter`` holds exactly the latencies of the
+    sequence's own iterations, in order, so ``np.mean`` equals the mean of
+    a per-sequence latency list bit for bit.
     """
     return float(np.mean(inst.iter_log[seq.start_iter - inst.log_base:]))
 
@@ -600,7 +575,14 @@ def _tail_mean(inst, seq: ActiveSequence) -> float:
 
 
 class _EngineBase:
-    """Shared event loop: subclasses provide a ``handlers`` mapping.
+    """Shared event loop, request lifecycle and decode-tick core.
+
+    An engine runs a pipeline of pools, given as ``(name, InstanceSpec,
+    n_instances, provider)`` in request order: arrivals, retries and
+    failure victims join the first pool's queue, and the last pool is the
+    one that decodes (its instances hold KV state).  Subclasses implement
+    :meth:`_wake` (offer a pool's queue to its instances) and add their
+    pools' own event handlers.
 
     The loop owns the **control plane**: when a
     :class:`~repro.cluster.control.ClusterController` with a positive
@@ -615,17 +597,28 @@ class _EngineBase:
     def __init__(
         self,
         config,
-        controller: Optional[ClusterController] = None,
-        power_curve: Optional[DVFSCurve] = None,
-        spawn_limits: Optional[Dict[str, int]] = None,
+        policies: PolicyBundle,
+        pools: Sequence[Tuple[str, InstanceSpec, int, AbstractServiceTimeProvider]],
+        failures: Sequence[Tuple[float, str, int, float]],
+        controller: Optional[ClusterController],
+        power_curve: Optional[DVFSCurve],
+        spawn_limits: Optional[Dict[str, int]],
     ) -> None:
         self.config = config
-        # fast_engine=True (the default) reads the incrementally maintained
-        # occupancy/context counters; False re-derives both by scanning
-        # instance state per event, exactly as the seed did — kept as the
-        # measured baseline for benchmarks/test_perf_sweep.py.  Both modes
-        # are bit-identical: the counters are integer sums of the same terms.
-        self.fast = getattr(config, "fast_engine", True)
+        self.policies = policies
+        self.failures = sorted(failures)
+        self.pool_names = tuple(name for name, _, _, _ in pools)
+        self.specs = {name: spec for name, spec, _, _ in pools}
+        self.providers = {name: provider for name, _, _, provider in pools}
+        self.states = {name: [_STATE_TYPES[name]() for _ in range(n)] for name, _, n, _ in pools}
+        self.queues: Dict[str, Deque[Request]] = {name: deque() for name in self.pool_names}
+        # Each pool gets its own routing instance so stateful policies
+        # (round-robin) rotate per pool instead of interleaving pools
+        # through one shared counter, and a caller-held bundle is not
+        # mutated across runs.
+        self.routers = {name: copy.copy(policies.routing) for name in self.pool_names}
+        decoding = self.pool_names[-1]
+        self.kv_capacity = require_kv_headroom(self.specs[decoding], decoding)
         # metrics="streaming" routes completions into constant-memory
         # quantile sketches instead of the ``completed`` list; "exact" (the
         # default) keeps every CompletedRequest and stays bit-identical to
@@ -739,6 +732,71 @@ class _EngineBase:
             )
         )
 
+    # --- decode-tick core ---------------------------------------------------
+
+    def _charge(self, inst: DecodeState, batch: int, latency: float, now: float) -> float:
+        """Account one iteration of ``batch`` decoding sequences; return its finish.
+
+        Every resident sequence generates one token, so the shared log and
+        the iteration count advance once and every resident context grows
+        by one — no per-sequence work.
+        """
+        inst.busy_time += latency
+        inst.energy_busy += latency * self._busy_power_ratio
+        finish = now + latency
+        inst.busy_until = finish
+        inst.iter_log.append(latency)
+        inst.iter_count += 1
+        inst.context_sum += batch
+        return finish
+
+    def _complete_due(self, inst: DecodeState, finish: float) -> None:
+        """Complete the sequences whose last token the iteration produced.
+
+        One dict pop finds them; completion order within the bucket is
+        admission order.  The active list is only rebuilt on ticks that
+        complete something.
+        """
+        done = inst.due.pop(inst.iter_count, None)
+        if not done:
+            return
+        for seq in done:
+            self._complete(seq, finish, _tail_mean(inst, seq))
+            tokens = seq.request.total_tokens  # also its context at completion
+            inst.occupied -= tokens
+            inst.context_sum -= tokens
+        if len(done) == len(inst.active):
+            inst.active.clear()
+        else:
+            done_ids = set(map(id, done))
+            inst.active = [s for s in inst.active if id(s) not in done_ids]
+        _prune_iter_log(inst)
+
+    # --- request lifecycle --------------------------------------------------
+
+    def handlers(self):
+        """Event kind -> handler; subclasses add their pools' own kinds."""
+        return {
+            "arrival": self._on_arrival,
+            "retry": self._on_retry,
+            "failure": self._on_failure,
+            "recovered": self._on_wake,
+            "controller": self._on_controller_event,
+            "spawn_ready": self._on_wake,
+        }
+
+    def _wake(self, pool: str, now: float) -> None:  # pragma: no cover - abstract
+        """Offer ``pool``'s queue to its available instances."""
+        raise NotImplementedError
+
+    def _on_wake(self, now: float, payload: tuple) -> None:
+        """A pool gained capacity (repair or warm-up done): serve its queue."""
+        self._wake(payload[0], now)
+
+    def _on_arrival(self, now: float, payload: tuple) -> None:
+        (request,) = payload
+        self._accept_request(request, now)
+
     def _on_retry(self, now: float, payload: tuple) -> None:
         """A client backoff elapsed: the request re-enters the front door.
 
@@ -750,8 +808,90 @@ class _EngineBase:
         self.resilience.on_retry_fired()
         self._accept_request(request, now)
 
-    def _accept_request(self, request: Request, now: float) -> None:  # pragma: no cover
-        raise NotImplementedError
+    def _accept_request(self, request: Request, now: float) -> None:
+        front = self.pool_names[0]
+        queue = self.queues[front]
+        if self.resilience is not None:
+            request = self.resilience.admit(request, now, len(queue))
+            if request is None:
+                return
+        queue.append(request)
+        self._wake(front, now)
+
+    def _on_failure(self, now: float, payload: tuple) -> None:
+        pool, index, duration = payload
+        # Elastic runs validate failures against the *expanded* instance
+        # range: a fault aimed at a never-spawned or already-retired
+        # instance hits no hardware.
+        states = self._pool(pool)
+        if index >= len(states) or states[index].retired:
+            return
+        inst = states[index]
+        previous_down = inst.down_until
+        # max(): a short overlapping failure must not cut an outage short
+        # (scripted and sampled schedules compose, so overlap is possible).
+        inst.down_until = max(inst.down_until, now + duration)
+        # A prefill instance's in-flight batch still finishes (its
+        # completion event is already queued); only KV state is lost.
+        holds_kv = isinstance(inst, DecodeState)
+        victims = self._salvage(inst, now) if holds_kv else []
+        if self.resilience is not None:
+            self.resilience.on_failure_hit(
+                now, duration, [r.request_id for r in victims],
+                max(0.0, inst.down_until - max(previous_down, now)),
+            )
+        if holds_kv:
+            # Victims must not strand: once the arrival stream has ended
+            # nothing else would wake an idle front pool to re-serve them.
+            self._wake(self.pool_names[0], now)
+        self.events.push(now + duration, "recovered", (pool, index))
+
+    def _salvage(self, inst: DecodeState, now: float) -> List[Request]:
+        """Requeue a failed instance's work; return the requests that restart.
+
+        Lost KV state is a real restart (counted); admitted work that had
+        not started rejoins the queue behind the victims, in one
+        order-preserving batch, without counting as a restart.
+        """
+        lost, unstarted = inst.evict()
+        runtime = self.resilience
+        if runtime is None:
+            victims = [request for request, _ in lost]
+        else:
+            # An expired victim is shed, not requeued — its end-to-end
+            # budget is already gone; the rest resume from their last
+            # checkpoint (restart-from-prefill when checkpointing is off or
+            # no interval completed yet).
+            victims = []
+            for request, generated in lost:
+                if runtime.expired_deadline(request, now):
+                    runtime.shed(request, now, "deadline")
+                else:
+                    victims.append(runtime.resume_request(request, generated))
+            waiting = []
+            for request in unstarted:
+                if runtime.expired_deadline(request, now):
+                    runtime.shed(request, now, "deadline")
+                else:
+                    waiting.append(request)
+            unstarted = waiting
+        for request in victims:
+            self._record_restart(request)
+        self.policies.requeue.requeue_all(victims + unstarted, self.queues[self.pool_names[0]])
+        if inst.draining and not inst.retired:
+            # A draining instance that just lost its residents has nothing
+            # left to finish: release its GPUs now.
+            self._retire_state(inst, now)
+        return victims
+
+    def _pool(self, pool: str) -> list:
+        states = self.states.get(pool)
+        if states is None:
+            raise SimulationError(f"unknown pool '{pool}' (have {'/'.join(self.pool_names)})")
+        return states
+
+    def _all_states(self) -> list:
+        return [state for states in self.states.values() for state in states]
 
     def _instance_seconds(self, duration: float) -> float:
         """Provisioned instance-seconds inside ``duration`` (availability base)."""
@@ -760,9 +900,6 @@ class _EngineBase:
             end = min(state.retired_at, duration)
             total += max(0.0, end - state.spawned_at)
         return total
-
-    def _all_states(self) -> list:  # pragma: no cover - abstract
-        raise NotImplementedError
 
     def _feed_arrival(self, arrival_iter: Iterator[Request]) -> None:
         request = next(arrival_iter, None)
@@ -808,29 +945,22 @@ class _EngineBase:
             handler(time, payload)
         return self
 
-    def handlers(self):  # pragma: no cover - abstract
-        raise NotImplementedError
-
     # --- control plane ------------------------------------------------------
-
-    def _control_handlers(self):
-        """The event handlers every engine shares with the control plane."""
-        return {
-            "controller": self._on_controller_event,
-            "spawn_ready": self._on_spawn_ready,
-        }
 
     def _on_controller_event(self, now: float, payload: tuple) -> None:
         action = self.controller.step(self._observe(now))
         if action is not None and not action.is_noop():
             self._apply_action(now, action)
-        # Keep stepping only while something can still happen: any
-        # non-controller event in the heap, or queued/resident work that a
-        # future scale-up could serve.  Otherwise the epoch chain would pin
-        # every run to the full horizon.
-        pending = any(kind != "controller" for _, _, kind, _ in self.events._heap)
-        if pending or self._has_pending_work():
+        # Keep stepping only while something can still happen: any other
+        # pending event (only run() and this handler push "controller", so
+        # none is queued now), or queued/resident work that a future
+        # scale-up could serve.  Otherwise the epoch chain would pin every
+        # run to the full horizon.
+        if self.events or self._has_pending_work():
             self.events.push(now + self.controller.epoch, "controller", ())
+
+    def _has_pending_work(self) -> bool:
+        return any(self.queues.values()) or any(s.has_work() for s in self._all_states())
 
     def _apply_action(self, now: float, action: ControlAction) -> None:
         if action.frequency is not None and action.frequency != self.frequency:
@@ -850,8 +980,18 @@ class _EngineBase:
             raise SimulationError("controller set a non-positive frequency scalar")
         self.frequency = float(scalar)
         self._busy_power_ratio = self.power_curve.power_ratio(self.frequency)
-        for provider in self._providers():
+        for provider in self.providers.values():
             provider.set_frequency(self.frequency)
+
+    def _spawn(self, pool: str, now: float) -> bool:
+        states = self._pool(pool)
+        if not self._spawn_allowed(pool, states):
+            return False
+        warm = now + max(0.0, self.controller.warmup_s)
+        states.append(_STATE_TYPES[pool](spawned_at=now, up_from=warm))
+        self.spawned += 1
+        self.events.push(warm, "spawn_ready", (pool,))
+        return True
 
     def _spawn_allowed(self, pool: str, states: list) -> bool:
         """Physical + policy bounds on adding one more instance to a pool."""
@@ -860,6 +1000,22 @@ class _EngineBase:
             return False
         provisioned = sum(1 for s in states if not s.retired)
         return provisioned < self.controller.max_instances
+
+    def _drain(self, pool: str, now: float) -> bool:
+        states = self._pool(pool)
+        if self._drain_floor(states):
+            return False
+        candidates = [
+            i for i, s in enumerate(states) if not s.retired and not s.draining
+        ]
+        # Idle instances first, then the least resident KV state (it drains
+        # fastest); ties retire the latest-spawned instance first.
+        idx = min(candidates, key=lambda i: (states[i].has_work(), states[i].occupied, -i))
+        inst = states[idx]
+        inst.draining = True
+        if not inst.has_work():
+            self._retire_state(inst, now)
+        return True
 
     def _drain_floor(self, states: list) -> bool:
         """True when one more drain would leave the pool below its floor."""
@@ -872,6 +1028,25 @@ class _EngineBase:
         state.retired = True
         state.retired_at = now
         self.retired += 1
+
+    def _observe(self, now: float) -> ControlObservation:
+        decoding = self.pool_names[-1]
+        obs = ControlObservation(
+            time=now,
+            pools={
+                pool: self._pool_stats(
+                    self.states[pool], now, len(self.queues[pool]), self.specs[pool].n_gpus,
+                    capacity=self.kv_capacity if pool == decoding else 0,
+                )
+                for pool in self.pool_names
+            },
+            window_ttfts=tuple(self._window_ttfts),
+            window_tbts=tuple(self._window_tbts),
+            frequency=self.frequency,
+        )
+        self._window_ttfts.clear()
+        self._window_tbts.clear()
+        return obs
 
     def _pool_stats(self, states: list, now: float, queue_depth: int,
                     gpus_per_instance: int, capacity: int = 0) -> PoolStats:
@@ -888,7 +1063,7 @@ class _EngineBase:
                 alive += 1
                 if capacity > 0:
                     occupied.append(state.occupied / capacity)
-            if self._state_busy(state):
+            if state.has_work():
                 busy += 1
         occupancy = float(np.mean(occupied)) if occupied else 0.0
         return PoolStats(
@@ -896,46 +1071,6 @@ class _EngineBase:
             queue_depth=queue_depth, occupancy=occupancy,
             gpus_per_instance=gpus_per_instance,
         )
-
-    @staticmethod
-    def _state_busy(state) -> bool:
-        if isinstance(state, PrefillState):
-            return state.busy
-        if isinstance(state, ColocatedState):
-            return state.has_work()
-        return bool(state.active)
-
-    def _make_observation(self, now: float, pools: Dict[str, PoolStats]) -> ControlObservation:
-        obs = ControlObservation(
-            time=now,
-            pools=pools,
-            window_ttfts=tuple(self._window_ttfts),
-            window_tbts=tuple(self._window_tbts),
-            frequency=self.frequency,
-        )
-        self._window_ttfts.clear()
-        self._window_tbts.clear()
-        return obs
-
-    # Subclass hooks ---------------------------------------------------------
-
-    def _observe(self, now: float) -> ControlObservation:  # pragma: no cover
-        raise NotImplementedError
-
-    def _has_pending_work(self) -> bool:  # pragma: no cover
-        raise NotImplementedError
-
-    def _providers(self) -> List[AbstractServiceTimeProvider]:  # pragma: no cover
-        raise NotImplementedError
-
-    def _spawn(self, pool: str, now: float) -> bool:  # pragma: no cover
-        raise NotImplementedError
-
-    def _drain(self, pool: str, now: float) -> bool:  # pragma: no cover
-        raise NotImplementedError
-
-    def _on_spawn_ready(self, now: float, payload: tuple) -> None:  # pragma: no cover
-        raise NotImplementedError
 
 
 class PhaseSplitEngine(_EngineBase):
@@ -959,106 +1094,30 @@ class PhaseSplitEngine(_EngineBase):
         power_curve: Optional[DVFSCurve] = None,
         spawn_limits: Optional[Dict[str, int]] = None,
     ) -> None:
-        super().__init__(config, controller, power_curve, spawn_limits)
+        super().__init__(
+            config, policies,
+            (
+                ("prefill", pools.prefill, pools.n_prefill, prefill_provider),
+                ("decode", pools.decode, pools.n_decode, decode_provider),
+            ),
+            failures, controller, power_curve, spawn_limits,
+        )
         self.pools = pools
-        self.policies = policies
         self.prefill_provider = prefill_provider
         self.decode_provider = decode_provider
-        self.kv_capacity = require_kv_headroom(pools.decode, "decode")
-        self.failures = sorted(failures)
-        self.prefill_queue: Deque[Request] = deque()
-        self.decode_queue: Deque[Request] = deque()
-        self.prefill_states = [PrefillState() for _ in range(pools.n_prefill)]
-        self.decode_states = [DecodeState() for _ in range(pools.n_decode)]
-        # Each pool gets its own routing instance so stateful policies
-        # (round-robin) rotate per pool instead of interleaving both pools
-        # through one shared counter.
-        self.prefill_routing = copy.copy(policies.routing)
-        self.decode_routing = copy.copy(policies.routing)
+        self.prefill_states, self.decode_states = self.states.values()
+        self.prefill_queue, self.decode_queue = self.queues.values()
+        self.prefill_routing, self.decode_routing = self.routers.values()
 
     def handlers(self):
         return {
-            "arrival": self._on_arrival,
-            "retry": self._on_retry,
+            **super().handlers(),
             "prefill_done": self._on_prefill_done,
             "decode_iter": self._on_decode_iter,
             "decode_admit": self._on_decode_admit,
-            "failure": self._on_failure,
-            "recovered": self._on_recovered,
-            **self._control_handlers(),
         }
 
-    # --- control plane ------------------------------------------------------
-
-    def _pool_states(self, pool: str) -> list:
-        if pool == "prefill":
-            return self.prefill_states
-        if pool == "decode":
-            return self.decode_states
-        raise SimulationError(f"unknown pool '{pool}' (have prefill/decode)")
-
-    def _all_states(self) -> list:
-        return [*self.prefill_states, *self.decode_states]
-
-    def _providers(self) -> List[AbstractServiceTimeProvider]:
-        return [self.prefill_provider, self.decode_provider]
-
-    def _has_pending_work(self) -> bool:
-        return bool(
-            self.prefill_queue
-            or self.decode_queue
-            or any(s.busy for s in self.prefill_states)
-            or any(s.active for s in self.decode_states)
-        )
-
-    def _observe(self, now: float) -> ControlObservation:
-        return self._make_observation(now, {
-            "prefill": self._pool_stats(
-                self.prefill_states, now, len(self.prefill_queue),
-                self.pools.prefill.n_gpus,
-            ),
-            "decode": self._pool_stats(
-                self.decode_states, now, len(self.decode_queue),
-                self.pools.decode.n_gpus, capacity=self.kv_capacity,
-            ),
-        })
-
-    def _spawn(self, pool: str, now: float) -> bool:
-        states = self._pool_states(pool)
-        if not self._spawn_allowed(pool, states):
-            return False
-        warm = now + max(0.0, self.controller.warmup_s)
-        if pool == "prefill":
-            states.append(PrefillState(spawned_at=now, up_from=warm))
-        else:
-            states.append(DecodeState(spawned_at=now, up_from=warm))
-        self.spawned += 1
-        self.events.push(warm, "spawn_ready", (pool,))
-        return True
-
-    def _drain(self, pool: str, now: float) -> bool:
-        states = self._pool_states(pool)
-        if self._drain_floor(states):
-            return False
-        candidates = [
-            i for i, s in enumerate(states) if not s.retired and not s.draining
-        ]
-        if pool == "prefill":
-            # Prefer idle instances; among equals, the latest-spawned.
-            idx = min(candidates, key=lambda i: (states[i].busy, -i))
-        else:
-            # Least resident KV state drains fastest; ties retire the
-            # latest-spawned instance first.
-            idx = min(candidates, key=lambda i: (states[i].occupied, -i))
-        inst = states[idx]
-        inst.draining = True
-        idle = (not inst.busy) if pool == "prefill" else (not inst.active)
-        if idle:
-            self._retire_state(inst, now)
-        return True
-
-    def _on_spawn_ready(self, now: float, payload: tuple) -> None:
-        (pool,) = payload
+    def _wake(self, pool: str, now: float) -> None:
         if pool == "prefill":
             self._dispatch_prefill(now)
         else:
@@ -1094,10 +1153,7 @@ class PhaseSplitEngine(_EngineBase):
         # Loads double as each instance's KV budget: admissions to one
         # instance never change another's occupancy, so a single per-round
         # read feeds both the routing order and the budgets.
-        if self.fast:
-            loads = [s.occupied_tokens() for s in self.decode_states]
-        else:
-            loads = [s.scan_occupied_tokens() for s in self.decode_states]
+        loads = [s.occupied for s in self.decode_states]
         order = self.decode_routing.order(loads)
         for idx in order:
             inst = self.decode_states[idx]
@@ -1106,29 +1162,13 @@ class PhaseSplitEngine(_EngineBase):
             slots = self.pools.max_decode_batch - len(inst.active)
             budget = self.kv_capacity - loads[idx]
             for request in self.policies.admission.select(self.decode_queue, slots, budget):
-                seq = ActiveSequence(request=request, ttft_done=time)
-                inst.active.append(seq)
                 inst.occupied += request.total_tokens
-                inst.context_sum += request.prompt_tokens
-                if self.fast:
-                    _register_due(inst, seq)
+                inst.join(request)
             if inst.active and not inst.running:
                 inst.running = True
                 self.events.push(max(time, inst.busy_until), "decode_iter", (idx,))
 
     # --- handlers ----------------------------------------------------------
-
-    def _on_arrival(self, now: float, payload: tuple) -> None:
-        (request,) = payload
-        self._accept_request(request, now)
-
-    def _accept_request(self, request: Request, now: float) -> None:
-        if self.resilience is not None:
-            request = self.resilience.admit(request, now, len(self.prefill_queue))
-            if request is None:
-                return
-        self.prefill_queue.append(request)
-        self._dispatch_prefill(now)
 
     def _on_prefill_done(self, now: float, payload: tuple) -> None:
         idx, batch = payload
@@ -1149,62 +1189,15 @@ class PhaseSplitEngine(_EngineBase):
             inst.running = False
             return
         batch = len(inst.active)
-        if self.fast:
-            # Exact replacement for int(np.mean([s.context_len ...])): the
-            # counter is the same integer sum, and float64 division of
-            # exact integers is identical either way — minus the per-event
-            # list build and numpy round-trip.
-            context = int(inst.context_sum / batch)
-        else:
-            context = int(np.mean([s.context_len for s in inst.active]))
+        # The seed's int(np.mean(contexts)): float64 division of the same
+        # exact integer sum, minus the per-event list build.
+        context = int(inst.context_sum / batch)
         latency = max(
             self.decode_provider.decode_time(batch, max(1, context), instance=idx),
             self.config.min_decode_interval,
         )
-        inst.busy_time += latency
-        inst.energy_busy += latency * self._busy_power_ratio
-        finish = now + latency
-        inst.busy_until = finish
-        if self.fast:
-            # One shared log append plus a dict pop of exactly the
-            # sequences completing at this iteration count — no
-            # per-sequence latency appends, no batch-wide done scan, no
-            # active-list rebuild on completion-free ticks.  The remaining
-            # per-sequence work is a single integer increment, which keeps
-            # ``generated``/``context_len`` live for inspectors.
-            # Completion order equals admit order within the bucket, which
-            # is the order the legacy scan completes them in.
-            for seq in inst.active:
-                seq.generated += 1
-            inst.iter_log.append(latency)
-            inst.iter_count += 1
-            inst.context_sum += batch  # every resident context grew by one
-            done = inst.due.pop(inst.iter_count, None)
-            if done:
-                for seq in done:
-                    self._complete(seq, finish, _tail_mean(inst, seq))
-                    inst.occupied -= seq.request.total_tokens
-                    inst.context_sum -= seq.context_len
-                if len(done) == batch:
-                    inst.active.clear()
-                else:
-                    done_ids = set(map(id, done))
-                    inst.active = [s for s in inst.active if id(s) not in done_ids]
-                _prune_iter_log(inst)
-        else:
-            for seq in inst.active:
-                seq.generated += 1
-                seq.iteration_times.append(latency)
-            inst.context_sum += batch  # every resident context grew by one token
-            still_active: List[ActiveSequence] = []
-            for seq in inst.active:
-                if seq.done:
-                    self._complete(seq, finish, float(np.mean(seq.iteration_times)))
-                    inst.occupied -= seq.request.total_tokens
-                    inst.context_sum -= seq.context_len
-                else:
-                    still_active.append(seq)
-            inst.active = still_active
+        finish = self._charge(inst, batch, latency, now)
+        self._complete_due(inst, finish)
         self.events.push(finish, "decode_admit", (idx,))
 
     def _on_decode_admit(self, now: float, payload: tuple) -> None:
@@ -1218,74 +1211,6 @@ class PhaseSplitEngine(_EngineBase):
         if inst.active and not inst.running and now >= inst.down_until:
             inst.running = True
             self.events.push(now, "decode_iter", (idx,))
-
-    def _on_failure(self, now: float, payload: tuple) -> None:
-        pool, index, duration = payload
-        # Elastic runs validate failures against the *expanded* instance
-        # range: a fault aimed at a never-spawned or already-retired
-        # instance hits no hardware.
-        states = self._pool_states(pool)
-        if index >= len(states) or states[index].retired:
-            return
-        # max(): a short overlapping failure must not cut an outage short
-        # (scripted and sampled schedules compose, so overlap is possible).
-        if pool == "prefill":
-            # An in-flight batch still finishes (its completion event is
-            # already queued); prefill state is lost only for queued work.
-            state = self.prefill_states[index]
-            previous_down = state.down_until
-            state.down_until = max(state.down_until, now + duration)
-            if self.resilience is not None:
-                self.resilience.on_failure_hit(
-                    now, duration, (),
-                    max(0.0, state.down_until - max(previous_down, now)),
-                )
-        else:
-            inst = self.decode_states[index]
-            previous_down = inst.down_until
-            inst.down_until = max(inst.down_until, now + duration)
-            inst.running = False
-            runtime = self.resilience
-            if runtime is None:
-                victims = [seq.request for seq in inst.active]  # KV lost
-            else:
-                # An expired victim is shed, not requeued — its end-to-end
-                # budget is already gone; the rest resume from their last
-                # checkpoint (restart-from-prefill when checkpointing is
-                # off or no interval completed yet).
-                victims = []
-                for seq in inst.active:
-                    if runtime.expired_deadline(seq.request, now):
-                        runtime.shed(seq.request, now, "deadline")
-                    else:
-                        victims.append(runtime.resume_request(seq.request, seq.generated))
-            self.policies.requeue.requeue_all(victims, self.prefill_queue)
-            for request in victims:
-                self._record_restart(request)
-            if runtime is not None:
-                runtime.on_failure_hit(
-                    now, duration, [r.request_id for r in victims],
-                    max(0.0, inst.down_until - max(previous_down, now)),
-                )
-            inst.active.clear()
-            _clear_iter_log(inst)
-            inst.occupied = 0
-            inst.context_sum = 0
-            if inst.draining and not inst.retired:
-                # A draining instance that just lost its residents has
-                # nothing left to finish: release its GPUs now.
-                self._retire_state(inst, now)
-            # Victims must not strand: once the arrival stream has ended
-            # nothing else would wake an idle prefill pool to re-serve them.
-            self._dispatch_prefill(now)
-        self.events.push(now + duration, "recovered", (pool, index))
-
-    def _on_recovered(self, now: float, payload: tuple) -> None:
-        pool, _ = payload
-        if pool == "prefill":
-            self._dispatch_prefill(now)
-        else:
-            self._admit_decode(now)
 
 
 class ColocatedEngine(_EngineBase):
@@ -1310,91 +1235,31 @@ class ColocatedEngine(_EngineBase):
         power_curve: Optional[DVFSCurve] = None,
         spawn_limits: Optional[Dict[str, int]] = None,
     ) -> None:
-        super().__init__(config, controller, power_curve, spawn_limits)
+        super().__init__(
+            config, policies, (("colocated", pool.instance, pool.n_instances, provider),),
+            failures, controller, power_curve, spawn_limits,
+        )
         self.pool = pool
-        self.policies = policies
         self.provider = provider
-        self.kv_capacity = require_kv_headroom(pool.instance, "colocated")
-        self.failures = sorted(failures)
-        self.pending: Deque[Request] = deque()
-        self.states = [ColocatedState() for _ in range(pool.n_instances)]
-        # Private copy so a caller-held bundle's stateful routing (round
-        # robin) is not mutated across runs.
-        self.routing = copy.copy(policies.routing)
+        (self.instances,) = self.states.values()
+        (self.pending,) = self.queues.values()
+        (self.routing,) = self.routers.values()
 
     def handlers(self):
-        return {
-            "arrival": self._on_arrival,
-            "retry": self._on_retry,
-            "iter": self._on_iter,
-            "admit": self._on_admit,
-            "failure": self._on_failure,
-            "recovered": self._on_recovered,
-            **self._control_handlers(),
-        }
+        return {**super().handlers(), "iter": self._on_iter, "admit": self._on_admit}
 
-    # --- control plane ------------------------------------------------------
-
-    def _providers(self) -> List[AbstractServiceTimeProvider]:
-        return [self.provider]
-
-    def _all_states(self) -> list:
-        return list(self.states)
-
-    def _has_pending_work(self) -> bool:
-        return bool(self.pending or any(s.has_work() for s in self.states))
-
-    def _observe(self, now: float) -> ControlObservation:
-        return self._make_observation(now, {
-            "colocated": self._pool_stats(
-                self.states, now, len(self.pending),
-                self.pool.instance.n_gpus, capacity=self.kv_capacity,
-            ),
-        })
-
-    def _spawn(self, pool: str, now: float) -> bool:
-        if pool != "colocated":
-            raise SimulationError(f"unknown pool '{pool}' (have colocated)")
-        if not self._spawn_allowed(pool, self.states):
-            return False
-        warm = now + max(0.0, self.controller.warmup_s)
-        self.states.append(ColocatedState(spawned_at=now, up_from=warm))
-        self.spawned += 1
-        self.events.push(warm, "spawn_ready", (pool,))
-        return True
-
-    def _drain(self, pool: str, now: float) -> bool:
-        if pool != "colocated":
-            raise SimulationError(f"unknown pool '{pool}' (have colocated)")
-        if self._drain_floor(self.states):
-            return False
-        candidates = [
-            i for i, s in enumerate(self.states) if not s.retired and not s.draining
-        ]
-        idx = min(candidates, key=lambda i: (self.states[i].occupied, -i))
-        inst = self.states[idx]
-        inst.draining = True
-        if not inst.has_work():
-            self._retire_state(inst, now)
-        return True
-
-    def _on_spawn_ready(self, now: float, payload: tuple) -> None:
+    def _wake(self, pool: str, now: float) -> None:
         self._dispatch(now)
-
-    # --- dispatch ----------------------------------------------------------
 
     def _dispatch(self, time: float) -> None:
         if self.resilience is not None:
             self.resilience.sweep_queue(self.pending, time)
         if not self.pending:
             return
-        if self.fast:
-            loads = [s.occupied_tokens() for s in self.states]
-        else:
-            loads = [s.scan_occupied_tokens() for s in self.states]
+        loads = [s.occupied for s in self.instances]
         order = self.routing.order(loads)
         for idx in order:
-            inst = self.states[idx]
+            inst = self.instances[idx]
             if not _available(inst, time) or not self.pending:
                 continue
             slots = self.pool.max_decode_batch - inst.committed()
@@ -1406,21 +1271,9 @@ class ColocatedEngine(_EngineBase):
                 inst.running = True
                 self.events.push(max(time, inst.busy_until), "iter", (idx,))
 
-    def _on_arrival(self, now: float, payload: tuple) -> None:
-        (request,) = payload
-        self._accept_request(request, now)
-
-    def _accept_request(self, request: Request, now: float) -> None:
-        if self.resilience is not None:
-            request = self.resilience.admit(request, now, len(self.pending))
-            if request is None:
-                return
-        self.pending.append(request)
-        self._dispatch(now)
-
     def _on_iter(self, now: float, payload: tuple) -> None:
         (idx,) = payload
-        inst = self.states[idx]
+        inst = self.instances[idx]
         if now < inst.down_until:
             inst.running = False
             return
@@ -1431,78 +1284,29 @@ class ColocatedEngine(_EngineBase):
         if batch == 0 and chunk == 0:
             inst.running = False
             return
-        if self.fast:
-            context = int(inst.context_sum / batch) if batch else 1
-        else:
-            context = int(np.mean([s.context_len for s in inst.active])) if inst.active else 1
+        context = int(inst.context_sum / batch) if batch else 1
         prompt_len = inst.current.request.prompt_tokens if inst.current else 1
         latency = max(
             self.provider.mixed_time(batch, max(1, context), chunk, prompt_len, instance=idx),
             self.config.min_decode_interval,
         )
-        inst.busy_time += latency
-        inst.energy_busy += latency * self._busy_power_ratio
-        finish = now + latency
-        inst.busy_until = finish
-        if self.fast:
-            # Chunk-only iterations (batch == 0) are logged too: a joiner
-            # admitted below gets ``start_iter = iter_count`` *after* the
-            # increment, so its first decode tick is the next iteration —
-            # exactly when the legacy path first appends to it.
-            for seq in inst.active:
-                seq.generated += 1
-            inst.iter_log.append(latency)
-            inst.iter_count += 1
-            inst.context_sum += batch
-            if inst.current is not None:
-                inst.current.remaining -= chunk
-                if inst.current.remaining <= 0:
-                    request = inst.current.request
-                    self._record_ttft(request, finish)
-                    seq = ActiveSequence(request=request, ttft_done=finish)
-                    inst.active.append(seq)
-                    _register_due(inst, seq)
-                    inst.context_sum += request.prompt_tokens
-                    inst.current = None
-            done = inst.due.pop(inst.iter_count, None)
-            if done:
-                for seq in done:
-                    self._complete(seq, finish, _tail_mean(inst, seq))
-                    inst.occupied -= seq.request.total_tokens
-                    inst.context_sum -= seq.context_len
-                if len(done) == len(inst.active):
-                    inst.active.clear()
-                else:
-                    done_ids = set(map(id, done))
-                    inst.active = [s for s in inst.active if id(s) not in done_ids]
-                _prune_iter_log(inst)
-        else:
-            for seq in inst.active:
-                seq.generated += 1
-                seq.iteration_times.append(latency)
-            inst.context_sum += batch  # every decoding context grew by one token
-            if inst.current is not None:
-                inst.current.remaining -= chunk
-                if inst.current.remaining <= 0:
-                    request = inst.current.request
-                    self._record_ttft(request, finish)
-                    inst.active.append(ActiveSequence(request=request, ttft_done=finish))
-                    inst.context_sum += request.prompt_tokens
-                    inst.current = None
-            still_active: List[ActiveSequence] = []
-            for seq in inst.active:
-                if seq.done:
-                    self._complete(seq, finish, float(np.mean(seq.iteration_times)))
-                    inst.occupied -= seq.request.total_tokens
-                    inst.context_sum -= seq.context_len
-                else:
-                    still_active.append(seq)
-            inst.active = still_active
+        # Chunk-only iterations (batch == 0) are charged and logged too: a
+        # prompt finishing below joins with ``start_iter`` after this
+        # iteration, so its first decode tick is the next one.
+        finish = self._charge(inst, batch, latency, now)
+        if inst.current is not None:
+            inst.current.remaining -= chunk
+            if inst.current.remaining <= 0:
+                request = inst.current.request
+                self._record_ttft(request, finish)
+                inst.join(request)
+                inst.current = None
+        self._complete_due(inst, finish)
         self.events.push(finish, "admit", (idx,))
 
     def _on_admit(self, now: float, payload: tuple) -> None:
         (idx,) = payload
-        inst = self.states[idx]
+        inst = self.instances[idx]
         inst.running = False
         self._dispatch(now)
         if inst.draining and not inst.retired and not inst.has_work():
@@ -1511,62 +1315,3 @@ class ColocatedEngine(_EngineBase):
         if inst.has_work() and not inst.running and now >= inst.down_until:
             inst.running = True
             self.events.push(now, "iter", (idx,))
-
-    def _on_failure(self, now: float, payload: tuple) -> None:
-        _, index, duration = payload
-        if index >= len(self.states) or self.states[index].retired:
-            return
-        inst = self.states[index]
-        previous_down = inst.down_until
-        inst.down_until = max(inst.down_until, now + duration)
-        inst.running = False
-        runtime = self.resilience
-        if runtime is None:
-            lost = [seq.request for seq in inst.active]
-            if inst.current is not None:
-                lost.append(inst.current.request)
-            backlog = [partial.request for partial in inst.backlog]
-        else:
-            # Expired victims (and expired backlog) are shed, not requeued;
-            # surviving decode victims resume from their last checkpoint.
-            # A partially chunked prompt has generated nothing, so it
-            # restarts as-is.
-            candidates = [(seq.request, seq.generated) for seq in inst.active]
-            if inst.current is not None:
-                candidates.append((inst.current.request, 0))
-            lost = []
-            for request, generated in candidates:
-                if runtime.expired_deadline(request, now):
-                    runtime.shed(request, now, "deadline")
-                else:
-                    lost.append(runtime.resume_request(request, generated))
-            backlog = []
-            for partial in inst.backlog:
-                if runtime.expired_deadline(partial.request, now):
-                    runtime.shed(partial.request, now, "deadline")
-                else:
-                    backlog.append(partial.request)
-        for request in lost:  # KV / partial prefill lost: a real restart
-            self._record_restart(request)
-        # One order-preserving batch: real victims ahead of the backlog
-        # (admitted but never chunked — no work lost, no restart counted).
-        self.policies.requeue.requeue_all(lost + backlog, self.pending)
-        if runtime is not None:
-            runtime.on_failure_hit(
-                now, duration, [r.request_id for r in lost],
-                max(0.0, inst.down_until - max(previous_down, now)),
-            )
-        inst.active.clear()
-        _clear_iter_log(inst)
-        inst.backlog.clear()
-        inst.current = None
-        inst.occupied = 0
-        inst.context_sum = 0
-        if inst.draining and not inst.retired:
-            self._retire_state(inst, now)
-        # Healthy idle instances pick the victims up now, not at repair time.
-        self._dispatch(now)
-        self.events.push(now + duration, "recovered", (index,))
-
-    def _on_recovered(self, now: float, payload: tuple) -> None:
-        self._dispatch(now)

@@ -14,7 +14,7 @@ The heavy lifting lives one layer down:
   / requeue policies (the seed's hardcoded behaviour is the ``"fcfs"``
   bundle).
 
-Two deployment shapes share one report format:
+Two deployment shapes share one front-end and one report format:
 
 - :class:`ServingSimulator` — a Splitwise-style :class:`PhasePools`
   deployment (dedicated prefill and decode pools);
@@ -63,7 +63,7 @@ from .failures import (
 from .placement import Placement, PoolShape, place
 from .policies import PolicyBundle, get_policy_bundle
 from .resilience import ResilienceConfig, wrap_checkpoint_writes
-from .scheduler import ColocatedPool, PhasePools
+from .scheduler import ColocatedPool, InstanceSpec, PhasePools
 
 __all__ = [
     "SimConfig",
@@ -144,12 +144,9 @@ def _make_provider(
     """One service-time oracle for a pool: fabric-aware when requested."""
     if network_model == "fabric":
         return NetworkAwareServiceTimeProvider(
-            instance_spec, topology, placement.groups(pool_name),
-            config.context_bucket, config.cache_service_times,
+            instance_spec, topology, placement.groups(pool_name), config.context_bucket
         )
-    return ServiceTimeProvider(
-        instance_spec, config.context_bucket, config.cache_service_times
-    )
+    return ServiceTimeProvider(instance_spec, config.context_bucket)
 
 
 def _elastic_shapes(
@@ -221,11 +218,6 @@ class SimConfig:
     ``context_bucket`` controls the :class:`ServiceTimeProvider` cache key
     granularity — 1 is bit-exact, coarser buckets round contexts up to the
     bucket edge and trade ≤ one bucket of context for wall-clock speed.
-    ``cache_service_times=False`` disables memoization entirely (used by
-    the perf benchmark to measure the cache's win).
-    ``fast_engine=False`` re-enables the seed's per-event occupancy scans
-    and numpy context means (bit-identical, slower — the measured baseline
-    of ``benchmarks/test_perf_sweep.py``).
     ``metrics="streaming"`` folds completions into constant-memory quantile
     sketches (:mod:`repro.analysis.streaming`) instead of materializing a
     ``CompletedRequest`` per request: percentiles become ≤1%-error
@@ -247,8 +239,6 @@ class SimConfig:
     max_sim_time: float = 3600.0
     min_decode_interval: float = 1e-4  # guard against zero-length iterations
     context_bucket: int = 1
-    cache_service_times: bool = True
-    fast_engine: bool = True
     metrics: str = "exact"
     resilience: Optional[ResilienceConfig] = None
     backend: str = "event"
@@ -375,81 +365,50 @@ class SimReport:
 
 
 def _build_report(
-    completed: List[CompletedRequest],
-    arrivals: int,
-    out_tokens: int,
-    duration: float,
-    prefill_busy: Sequence[float],
-    decode_busy: Sequence[float],
-    requeued: int,
-    restarted: int,
+    engine, prefill_busy: Sequence[float], decode_busy: Sequence[float]
 ) -> SimReport:
-    # ``out_tokens`` is the engine's counter rather than a sum over
-    # ``completed``: the two agree bit-for-bit on the default path, but
-    # checkpointed restarts shrink a resumed request's ``output_tokens``
-    # and pay the difference back as credit only the counter sees.
-    duration = max(duration, 1e-9)
-    nan = float("nan")
-    if completed:
-        # One pass over the completions builds a (n, 3) metric matrix, and
-        # one vectorized percentile call covers every quantile column —
-        # instead of three array builds plus five separate percentile sorts.
-        metrics = np.array([(c.ttft, c.mean_tbt, c.e2e) for c in completed])
-        (ttft_p50, tbt_p50_unused, e2e_p50), (ttft_p99, tbt_p99, e2e_p99) = np.percentile(
-            metrics, (50, 99), axis=0
-        )
-        del tbt_p50_unused
-        tbt_mean = float(np.mean(metrics[:, 1]))
-    else:
-        ttft_p50 = ttft_p99 = tbt_mean = tbt_p99 = e2e_p50 = e2e_p99 = nan
-    prefill_util = float(np.mean(prefill_busy) / duration)
-    decode_util = float(np.mean(decode_busy) / duration)
-    return SimReport(
-        completed=len(completed),
-        dropped=arrivals - len(completed),
-        duration=duration,
-        ttft_p50=float(ttft_p50),
-        ttft_p99=float(ttft_p99),
-        tbt_mean=tbt_mean,
-        tbt_p99=float(tbt_p99),
-        e2e_p50=float(e2e_p50),
-        e2e_p99=float(e2e_p99),
-        output_tokens_per_s=out_tokens / duration,
-        prefill_utilization=min(1.0, prefill_util),
-        decode_utilization=min(1.0, decode_util),
-        requeued_on_failure=requeued,
-        restarted_requests=restarted,
-    )
+    """Assemble the report of a finished engine run.
 
+    Counters are exact in both metric modes.  Latency percentiles are exact
+    under ``metrics="exact"``; under ``"streaming"`` they come from the
+    engine's quantile sketches, accurate to ≤1% relative error on the
+    latency shapes the simulator produces.
 
-def _build_streaming_report(
-    metrics,  # repro.analysis.streaming.StreamingMetrics
-    arrivals: int,
-    out_tokens: int,
-    duration: float,
-    prefill_busy: Sequence[float],
-    decode_busy: Sequence[float],
-    requeued: int,
-    restarted: int,
-) -> SimReport:
-    """The constant-memory counterpart of :func:`_build_report`.
-
-    Counters (completed/dropped/tokens/utilization) are exact; latency
-    percentiles come from the engine's quantile sketches, accurate to ≤1%
-    relative error on the latency shapes the simulator produces.
+    Output tokens come from the engine's counter rather than a sum over
+    completions: the two agree bit-for-bit on the default path, but
+    checkpointed restarts shrink a resumed request's ``output_tokens`` and
+    pay the difference back as credit only the counter sees.  Restart
+    counts come from ``engine.restarted_total`` (incremented once per
+    distinct request) rather than ``len(engine.restarts)`` — the streaming
+    path prunes the per-request dict at completion to bound memory, and
+    per-shard totals must survive that pruning so sharded and unsharded
+    runs agree (the ids are disjoint across shards, so summing
+    distinct-request counts is exact).
     """
-    duration = max(duration, 1e-9)
-    if metrics.completed:
-        ttft_p50, ttft_p99 = metrics.ttft.quantiles((0.5, 0.99))
-        e2e_p50, e2e_p99 = metrics.e2e.quantiles((0.5, 0.99))
-        tbt_p99 = metrics.tbt.quantile(0.99)
-        tbt_mean = metrics.tbt.mean
+    duration = max(engine.work_time, 1e-9)
+    ttft_p50 = ttft_p99 = tbt_mean = tbt_p99 = e2e_p50 = e2e_p99 = float("nan")
+    sketches = engine.metrics
+    if sketches is not None:
+        completed = sketches.completed
+        if completed:
+            ttft_p50, ttft_p99 = sketches.ttft.quantiles((0.5, 0.99))
+            e2e_p50, e2e_p99 = sketches.e2e.quantiles((0.5, 0.99))
+            tbt_p99 = sketches.tbt.quantile(0.99)
+            tbt_mean = sketches.tbt.mean
     else:
-        nan = float("nan")
-        ttft_p50 = ttft_p99 = tbt_mean = tbt_p99 = e2e_p50 = e2e_p99 = nan
-    return SimReport(
-        completed=metrics.completed,
-        dropped=arrivals - metrics.completed,
+        completed = len(engine.completed)
+        if completed:
+            # One pass over the completions builds a (n, 3) metric matrix,
+            # and one vectorized percentile call covers every quantile
+            # column — instead of three array builds plus five sorts.
+            metrics = np.array([(c.ttft, c.mean_tbt, c.e2e) for c in engine.completed])
+            (ttft_p50, _, e2e_p50), (ttft_p99, tbt_p99, e2e_p99) = np.percentile(
+                metrics, (50, 99), axis=0
+            )
+            tbt_mean = np.mean(metrics[:, 1])
+    report = SimReport(
+        completed=completed,
+        dropped=engine.arrivals - completed,
         duration=duration,
         ttft_p50=float(ttft_p50),
         ttft_p99=float(ttft_p99),
@@ -457,40 +416,12 @@ def _build_streaming_report(
         tbt_p99=float(tbt_p99),
         e2e_p50=float(e2e_p50),
         e2e_p99=float(e2e_p99),
-        output_tokens_per_s=out_tokens / duration,
+        output_tokens_per_s=engine.output_token_count / duration,
         prefill_utilization=min(1.0, float(np.mean(prefill_busy) / duration)),
         decode_utilization=min(1.0, float(np.mean(decode_busy) / duration)),
-        requeued_on_failure=requeued,
-        restarted_requests=restarted,
+        requeued_on_failure=engine.requeued,
+        restarted_requests=engine.restarted_total,
     )
-
-
-def _report_from_engine(
-    engine,
-    prefill_busy: Sequence[float],
-    decode_busy: Sequence[float],
-) -> SimReport:
-    """Dispatch to the exact or streaming report builder for a run engine.
-
-    Restart counts come from ``engine.restarted_total`` (incremented once
-    per distinct request) rather than ``len(engine.restarts)`` — the
-    streaming path prunes the per-request dict at completion to bound
-    memory, and per-shard totals must survive that pruning so sharded and
-    unsharded runs agree (the ids are disjoint across shards, so summing
-    distinct-request counts is exact).
-    """
-    if engine.metrics is not None:
-        report = _build_streaming_report(
-            engine.metrics, engine.arrivals, engine.output_token_count,
-            engine.work_time, prefill_busy, decode_busy,
-            engine.requeued, engine.restarted_total,
-        )
-    else:
-        report = _build_report(
-            engine.completed, engine.arrivals, engine.output_token_count,
-            engine.work_time, prefill_busy, decode_busy,
-            engine.requeued, engine.restarted_total,
-        )
     if engine.resilience is not None:
         fields = engine.resilience.report_fields(
             report.duration,
@@ -520,29 +451,6 @@ def _failure_limit(
     if controller is not None and controller.epoch > 0:
         return max(initial, controller.max_instances)
     return initial
-
-
-def _attach_economics(
-    report: SimReport, engine, pool_rollups: Tuple
-) -> Tuple[SimReport, EconomicsReport]:
-    """Fold the engine's resource counters into the report's cost fields."""
-    # The engine-maintained integer counter equals the old genexpr sum over
-    # ``completed`` bit-for-bit, and also exists when streaming metrics
-    # never materialize the completion list.
-    out_tokens = engine.output_token_count
-    econ = EconomicsReport(
-        pools=tuple(pool_rollups), duration=report.duration, output_tokens=out_tokens
-    )
-    report = replace(
-        report,
-        gpu_seconds=econ.gpu_seconds,
-        energy_joules=econ.energy_joules,
-        usd_cost=econ.usd_cost,
-        usd_per_mtoken=econ.usd_per_mtoken,
-        spawned_instances=engine.spawned,
-        retired_instances=engine.retired,
-    )
-    return report, econ
 
 
 def _check_fluid_composition(
@@ -589,7 +497,142 @@ def _validate_failures(
     return failures
 
 
-class ServingSimulator:
+class _Simulator:
+    """The front-end both deployment shapes share.
+
+    It works from a pool table of ``(name, InstanceSpec, n_instances)``
+    whose last pool is the one that decodes.  Construction resolves
+    failures, placement and one service-time provider per pool (the
+    decoding pool's wrapped for checkpoint writes); :meth:`_run` drives the
+    engine or the fluid backend and assembles the report and economics.
+    Stochastic failures of pool ``i`` are sampled with seed
+    ``failure_seed + i``.
+    """
+
+    def __init__(
+        self,
+        deployment: "PhasePools | ColocatedPool",
+        pools: Sequence[Tuple[str, InstanceSpec, int]],
+        config: SimConfig | None = None,
+        failures: Sequence[Tuple[float, str, int, float]] = (),
+        *,
+        policies: PolicyBundle | str | None = None,
+        failure_model: Optional[FailureModel] = None,
+        failure_seed: int = 0,
+        topology: Optional[Topology] = None,
+        placer: "str | Placement" = "packed",
+        network_model: str = "none",
+        component_failures: Sequence[ComponentFailure] = (),
+        component_model: Optional[ComponentFailureModel] = None,
+        controller: "ClusterController | str | None" = None,
+        economics: Optional[EconomicsConfig] = None,
+    ) -> None:
+        decoding, decode_spec, _ = pools[-1]
+        require_kv_headroom(decode_spec, decoding)  # fail fast, before run()
+        self._deployment = deployment
+        self._pools = tuple(pools)
+        self.config = config or SimConfig()
+        self._policy_spec = policies
+        self.topology = topology
+        self.network_model = network_model
+        self.controller = get_controller(controller)
+        _check_fluid_composition(
+            self.config, failures, failure_model,
+            component_failures, component_model, self.controller,
+        )
+        self.economics = economics or EconomicsConfig()
+        self.last_economics: Optional[EconomicsReport] = None
+        # StreamingMetrics of the last run (None under metrics="exact");
+        # sharded execution merges these across shard engines.
+        self.last_metrics = None
+        shapes, self._spawn_limits = _elastic_shapes(
+            deployment.pool_shapes(), self.controller, topology, placer
+        )
+        self.placement = _network_setup(
+            topology, placer, network_model, shapes,
+            component_failures, component_model,
+        )
+        all_failures = list(failures)
+        horizon = self.config.max_sim_time
+        if failure_model is not None:
+            for offset, (name, spec, n) in enumerate(pools):
+                all_failures += sample_failure_schedule(
+                    failure_model, name, n, horizon,
+                    seed=failure_seed + offset, gpus_per_instance=spec.n_gpus,
+                )
+        if self.placement is not None and (component_failures or component_model is not None):
+            all_failures += _component_instance_failures(
+                topology, self.placement, component_failures, component_model,
+                horizon, failure_seed,
+            )
+        self.failures = _validate_failures(
+            all_failures,
+            {
+                name: _failure_limit(self._spawn_limits, self.controller, name, n)
+                for name, _, n in pools
+            },
+        )
+        self.providers = [
+            _make_provider(spec, self.config, network_model, topology, self.placement, name)
+            for name, spec, _ in pools
+        ]
+        # Checkpointed restarts stream KV to storage during decode; the
+        # wrapper is a no-op (returns the provider unchanged) unless a
+        # checkpoint interval is configured.
+        self.providers[-1] = wrap_checkpoint_writes(
+            self.providers[-1], decode_spec, self.config.resilience
+        )
+
+    def _run(self, trace, engine_cls, fluid_report) -> SimReport:
+        for provider in self.providers:
+            provider.set_frequency(1.0)
+        bundle = get_policy_bundle(self._policy_spec)
+        if self.config.backend == "fluid":
+            report, self.last_economics = fluid_report(
+                self._deployment, self.config, trace, *self.providers, bundle, self.economics
+            )
+            self.last_metrics = None
+            return report
+        engine = engine_cls(
+            self._deployment, self.config, bundle, *self.providers, self.failures,
+            # A private copy per run: controllers keep hysteresis state.
+            controller=copy.deepcopy(self.controller),
+            power_curve=self.economics.curve,
+            spawn_limits=self._spawn_limits,
+        )
+        engine.run(trace)
+        self.last_metrics = engine.metrics
+        states = engine.states
+        first, last = self._pools[0][0], self._pools[-1][0]
+        report = _build_report(
+            engine,
+            [s.busy_time for s in states[first]],
+            [s.busy_time for s in states[last]],
+        )
+        # The engine's integer token counter equals a sum over ``completed``
+        # bit-for-bit, and also exists when streaming metrics never
+        # materialize the completion list.
+        econ = EconomicsReport(
+            pools=tuple(
+                pool_economics(name, spec, states[name], report.duration, self.economics)
+                for name, spec, _ in self._pools
+            ),
+            duration=report.duration,
+            output_tokens=engine.output_token_count,
+        )
+        self.last_economics = econ
+        return replace(
+            report,
+            gpu_seconds=econ.gpu_seconds,
+            energy_joules=econ.energy_joules,
+            usd_cost=econ.usd_cost,
+            usd_per_mtoken=econ.usd_per_mtoken,
+            spawned_instances=engine.spawned,
+            retired_instances=engine.retired,
+        )
+
+
+class ServingSimulator(_Simulator):
     """Event-driven simulation of a :class:`PhasePools` deployment.
 
     ``policies`` selects a :class:`PolicyBundle` by name or instance (see
@@ -623,80 +666,15 @@ class ServingSimulator:
         pools: PhasePools,
         config: SimConfig | None = None,
         failures: Sequence[Tuple[float, str, int, float]] = (),
-        *,
-        policies: PolicyBundle | str | None = None,
-        failure_model: Optional[FailureModel] = None,
-        failure_seed: int = 0,
-        topology: Optional[Topology] = None,
-        placer: "str | Placement" = "packed",
-        network_model: str = "none",
-        component_failures: Sequence[ComponentFailure] = (),
-        component_model: Optional[ComponentFailureModel] = None,
-        controller: "ClusterController | str | None" = None,
-        economics: Optional[EconomicsConfig] = None,
+        **options,
     ) -> None:
         self.pools = pools
-        require_kv_headroom(pools.decode, "decode")  # fail fast, before run()
-        self.config = config or SimConfig()
-        self._policy_spec = policies
-        self.topology = topology
-        self.network_model = network_model
-        self.controller = get_controller(controller)
-        _check_fluid_composition(
-            self.config, failures, failure_model,
-            component_failures, component_model, self.controller,
+        super().__init__(
+            pools,
+            (("prefill", pools.prefill, pools.n_prefill), ("decode", pools.decode, pools.n_decode)),
+            config, failures, **options,
         )
-        self.economics = economics or EconomicsConfig()
-        self.last_economics: Optional[EconomicsReport] = None
-        # StreamingMetrics of the last run (None under metrics="exact");
-        # sharded execution merges these across shard engines.
-        self.last_metrics = None
-        shapes, self._spawn_limits = _elastic_shapes(
-            pools.pool_shapes(), self.controller, topology, placer
-        )
-        self.placement = _network_setup(
-            topology, placer, network_model, shapes,
-            component_failures, component_model,
-        )
-        all_failures = list(failures)
-        horizon = self.config.max_sim_time
-        if failure_model is not None:
-            all_failures += sample_failure_schedule(
-                failure_model, "prefill", pools.n_prefill, horizon,
-                seed=failure_seed, gpus_per_instance=pools.prefill.n_gpus,
-            )
-            all_failures += sample_failure_schedule(
-                failure_model, "decode", pools.n_decode, horizon,
-                seed=failure_seed + 1, gpus_per_instance=pools.decode.n_gpus,
-            )
-        if self.placement is not None and (component_failures or component_model is not None):
-            all_failures += _component_instance_failures(
-                topology, self.placement, component_failures, component_model,
-                horizon, failure_seed,
-            )
-        self.failures = _validate_failures(
-            all_failures,
-            {
-                "prefill": _failure_limit(
-                    self._spawn_limits, self.controller, "prefill", pools.n_prefill
-                ),
-                "decode": _failure_limit(
-                    self._spawn_limits, self.controller, "decode", pools.n_decode
-                ),
-            },
-        )
-        self.prefill_provider = _make_provider(
-            pools.prefill, self.config, network_model, topology, self.placement, "prefill"
-        )
-        self.decode_provider = _make_provider(
-            pools.decode, self.config, network_model, topology, self.placement, "decode"
-        )
-        # Checkpointed restarts stream KV to storage during decode; the
-        # wrapper is a no-op (returns the provider unchanged) unless a
-        # checkpoint interval is configured.
-        self.decode_provider = wrap_checkpoint_writes(
-            self.decode_provider, pools.decode, self.config.resilience
-        )
+        self.prefill_provider, self.decode_provider = self.providers
 
     def run(self, trace: "Sequence[Request] | Iterable[Request]") -> SimReport:
         """Simulate the trace to completion (or the time horizon).
@@ -707,52 +685,12 @@ class ServingSimulator:
 
         >>> # see examples/splitwise_serving.py for an end-to-end run
         """
-        self.prefill_provider.set_frequency(1.0)
-        self.decode_provider.set_frequency(1.0)
-        if self.config.backend == "fluid":
-            from .fluid import fluid_phase_split_report
+        from .fluid import fluid_phase_split_report
 
-            report, self.last_economics = fluid_phase_split_report(
-                self.pools, self.config, trace,
-                self.prefill_provider, self.decode_provider,
-                get_policy_bundle(self._policy_spec), self.economics,
-            )
-            self.last_metrics = None
-            return report
-        engine = PhaseSplitEngine(
-            self.pools,
-            self.config,
-            get_policy_bundle(self._policy_spec),
-            self.prefill_provider,
-            self.decode_provider,
-            self.failures,
-            # A private copy per run: controllers keep hysteresis state.
-            controller=copy.deepcopy(self.controller),
-            power_curve=self.economics.curve,
-            spawn_limits=self._spawn_limits,
-        )
-        engine.run(trace)
-        self.last_metrics = engine.metrics
-        report = _report_from_engine(
-            engine,
-            [s.busy_time for s in engine.prefill_states],
-            [s.busy_time for s in engine.decode_states],
-        )
-        pool_rollups = (
-            pool_economics(
-                "prefill", self.pools.prefill, engine.prefill_states,
-                report.duration, self.economics,
-            ),
-            pool_economics(
-                "decode", self.pools.decode, engine.decode_states,
-                report.duration, self.economics,
-            ),
-        )
-        report, self.last_economics = _attach_economics(report, engine, pool_rollups)
-        return report
+        return self._run(trace, PhaseSplitEngine, fluid_phase_split_report)
 
 
-class ColocatedSimulator:
+class ColocatedSimulator(_Simulator):
     """Event-driven simulation of a :class:`ColocatedPool` deployment.
 
     Scripted failures use pool name ``"colocated"``.  The report's
@@ -769,67 +707,13 @@ class ColocatedSimulator:
         pool: ColocatedPool,
         config: SimConfig | None = None,
         failures: Sequence[Tuple[float, str, int, float]] = (),
-        *,
-        policies: PolicyBundle | str | None = None,
-        failure_model: Optional[FailureModel] = None,
-        failure_seed: int = 0,
-        topology: Optional[Topology] = None,
-        placer: "str | Placement" = "packed",
-        network_model: str = "none",
-        component_failures: Sequence[ComponentFailure] = (),
-        component_model: Optional[ComponentFailureModel] = None,
-        controller: "ClusterController | str | None" = None,
-        economics: Optional[EconomicsConfig] = None,
+        **options,
     ) -> None:
         self.pool = pool
-        self.config = config or SimConfig()
-        self._policy_spec = policies
-        require_kv_headroom(pool.instance, "colocated")  # fail fast, before run()
-        self.topology = topology
-        self.network_model = network_model
-        self.controller = get_controller(controller)
-        _check_fluid_composition(
-            self.config, failures, failure_model,
-            component_failures, component_model, self.controller,
+        super().__init__(
+            pool, (("colocated", pool.instance, pool.n_instances),), config, failures, **options
         )
-        self.economics = economics or EconomicsConfig()
-        self.last_economics: Optional[EconomicsReport] = None
-        self.last_metrics = None
-        shapes, self._spawn_limits = _elastic_shapes(
-            pool.pool_shapes(), self.controller, topology, placer
-        )
-        self.placement = _network_setup(
-            topology, placer, network_model, shapes,
-            component_failures, component_model,
-        )
-        all_failures = list(failures)
-        horizon = self.config.max_sim_time
-        if failure_model is not None:
-            all_failures += sample_failure_schedule(
-                failure_model, "colocated", pool.n_instances, horizon,
-                seed=failure_seed, gpus_per_instance=pool.instance.n_gpus,
-            )
-        if self.placement is not None and (component_failures or component_model is not None):
-            all_failures += _component_instance_failures(
-                topology, self.placement, component_failures, component_model,
-                horizon, failure_seed,
-            )
-        self.failures = _validate_failures(
-            all_failures,
-            {
-                "colocated": _failure_limit(
-                    self._spawn_limits, self.controller, "colocated", pool.n_instances
-                )
-            },
-        )
-        self.provider = _make_provider(
-            pool.instance, self.config, network_model, topology, self.placement, "colocated"
-        )
-        # No-op unless a checkpoint interval is configured (see the
-        # phase-split simulator for the rationale).
-        self.provider = wrap_checkpoint_writes(
-            self.provider, pool.instance, self.config.resilience
-        )
+        (self.provider,) = self.providers
 
     def run(self, trace: "Sequence[Request] | Iterable[Request]") -> SimReport:
         """Simulate the trace to completion (or the time horizon).
@@ -837,33 +721,6 @@ class ColocatedSimulator:
         Iterator traces are fed one arrival ahead of the clock, exactly as
         on :meth:`ServingSimulator.run`.
         """
-        self.provider.set_frequency(1.0)
-        if self.config.backend == "fluid":
-            from .fluid import fluid_colocated_report
+        from .fluid import fluid_colocated_report
 
-            report, self.last_economics = fluid_colocated_report(
-                self.pool, self.config, trace, self.provider,
-                get_policy_bundle(self._policy_spec), self.economics,
-            )
-            self.last_metrics = None
-            return report
-        engine = ColocatedEngine(
-            self.pool,
-            self.config,
-            get_policy_bundle(self._policy_spec),
-            self.provider,
-            self.failures,
-            controller=copy.deepcopy(self.controller),
-            power_curve=self.economics.curve,
-            spawn_limits=self._spawn_limits,
-        )
-        engine.run(trace)
-        self.last_metrics = engine.metrics
-        busy = [s.busy_time for s in engine.states]
-        report = _report_from_engine(engine, busy, busy)
-        rollup = pool_economics(
-            "colocated", self.pool.instance, engine.states,
-            report.duration, self.economics,
-        )
-        report, self.last_economics = _attach_economics(report, engine, (rollup,))
-        return report
+        return self._run(trace, ColocatedEngine, fluid_colocated_report)

@@ -4,9 +4,10 @@ The two invariants everything else leans on:
 
 1. ``controller=None`` and ``controller="static"`` replay the
    pre-control-plane engine bit-for-bit (no controller events at all);
-2. ``fast_engine=True`` and ``False`` stay bit-identical even when
-   controllers change capacity mid-run (the property test at the bottom —
-   spawn/drain/retire exercise the incremental occupied/context counters).
+2. the engine's incremental occupied/context counters equal a recount
+   of the resident sequences after every event, even when controllers
+   spawn, drain and retire instances mid-run (the property tests at the
+   bottom), and scaling runs reproduce their pinned reports.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from repro.cluster.control import (
     get_controller,
 )
 from repro.cluster.economics import EconomicsConfig
+from repro.cluster.engine import ColocatedEngine, PhaseSplitEngine, ServiceTimeProvider
+from repro.cluster.policies import get_policy_bundle
 from repro.cluster.power_manager import ClusterPowerManager
 from repro.cluster.provisioning import WorkloadForecast, provision_pools
 from repro.cluster.scheduler import ColocatedPool, InstanceSpec, PhasePools
@@ -370,48 +373,70 @@ class TestLifecycleSemantics:
         assert elastic.gpu_seconds < static.gpu_seconds
 
 
-# --- satellite: fast vs slow engines stay bit-identical under scaling ---------
+# --- satellite: engine counters under controller scaling --------------------
 
 
 @settings(max_examples=8, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
-    high_rate=st.floats(min_value=4.0, max_value=12.0),
+    high_rate=st.floats(min_value=4.0, max_value=80.0),
     warmup=st.floats(min_value=0.0, max_value=20.0),
 )
-def test_fast_and_slow_engines_identical_under_scaling_phase_split(
-    seed, high_rate, warmup
+def test_counters_equal_recount_under_scaling_phase_split(
+    recount_every_event, seed, high_rate, warmup
 ):
     """Mid-run spawn/drain/retire exercise the incremental occupied/context
-    counters; both engine modes must agree float-for-float."""
-    t = bursty_trace(low=1.0, high=high_rate, segment=25.0, seed=seed)
-
-    def run(fast: bool):
-        ctrl = ReactiveController(epoch=4.0, warmup_s=warmup, calm_epochs=2,
-                                  queue_high=1.5, max_instances=6)
-        config = SimConfig(max_sim_time=1200.0, fast_engine=fast)
-        return ServingSimulator(pools(n_prefill=1, n_decode=2), config,
-                                controller=ctrl).run(t)
-
-    assert run(True) == run(False)
+    counters; after every event they must equal a recount of the residents.
+    Bursts above about 40 req/s make the controller spawn as well as drain."""
+    p = pools(n_prefill=1, n_decode=2)
+    ctrl = ReactiveController(epoch=4.0, warmup_s=warmup, calm_epochs=2,
+                              queue_high=1.5, max_instances=6)
+    engine = PhaseSplitEngine(
+        p, CONFIG, get_policy_bundle("fcfs"),
+        ServiceTimeProvider(p.prefill), ServiceTimeProvider(p.decode), controller=ctrl,
+    )
+    checked = recount_every_event(engine)
+    engine.run(bursty_trace(low=1.0, high=high_rate, segment=25.0, seed=seed))
+    assert checked[0] > 0
 
 
 @settings(max_examples=6, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
-    high_rate=st.floats(min_value=4.0, max_value=12.0),
+    high_rate=st.floats(min_value=4.0, max_value=80.0),
 )
-def test_fast_and_slow_engines_identical_under_scaling_colocated(seed, high_rate):
-    t = bursty_trace(low=1.0, high=high_rate, segment=25.0, seed=seed)
+def test_counters_equal_recount_under_scaling_colocated(recount_every_event, seed, high_rate):
+    pool = colocated(n_instances=2)
+    ctrl = ReactiveController(epoch=4.0, warmup_s=8.0, calm_epochs=2,
+                              queue_high=1.5, max_instances=6)
+    engine = ColocatedEngine(
+        pool, CONFIG, get_policy_bundle("fcfs"), ServiceTimeProvider(pool.instance),
+        controller=ctrl,
+    )
+    checked = recount_every_event(engine)
+    engine.run(bursty_trace(low=1.0, high=high_rate, segment=25.0, seed=seed))
+    assert checked[0] > 0
 
-    def run(fast: bool):
+
+class TestPinnedScalingRuns:
+    """The properties' controllers under an 80 req/s burst, which makes them
+    spawn, drain and retire instances: reports pinned (see ``assert_pinned``)."""
+
+    def test_phase_split(self, assert_pinned):
+        ctrl = ReactiveController(epoch=4.0, warmup_s=5.0, calm_epochs=2,
+                                  queue_high=1.5, max_instances=6)
+        report = ServingSimulator(pools(n_prefill=1, n_decode=2), CONFIG,
+                                  controller=ctrl).run(bursty_trace(1.0, 80.0, 25.0, seed=7))
+        assert report.spawned_instances > 0 and report.retired_instances > 0
+        assert_pinned("reactive_phase_split", report)
+
+    def test_colocated(self, assert_pinned):
         ctrl = ReactiveController(epoch=4.0, warmup_s=8.0, calm_epochs=2,
                                   queue_high=1.5, max_instances=6)
-        config = SimConfig(max_sim_time=1200.0, fast_engine=fast)
-        return ColocatedSimulator(colocated(n_instances=2), config,
-                                  controller=ctrl).run(t)
-
-    assert run(True) == run(False)
+        report = ColocatedSimulator(colocated(n_instances=2), CONFIG,
+                                    controller=ctrl).run(bursty_trace(1.0, 80.0, 25.0, seed=7))
+        assert report.spawned_instances > 0 and report.retired_instances > 0
+        assert_pinned("reactive_colocated", report)
 
 
 class TestElasticFailureTargets:

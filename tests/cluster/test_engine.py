@@ -66,14 +66,6 @@ class TestServiceTimeProvider:
         provider = ServiceTimeProvider(spec, context_bucket=256)
         assert provider.decode_time(4, 100) >= spec.decode_time(4, 100)
 
-    def test_cache_disabled_still_correct(self):
-        spec = instance()
-        provider = ServiceTimeProvider(spec, cache=False)
-        assert provider.decode_time(4, 100) == spec.decode_time(4, 100)
-        provider.decode_time(4, 100)
-        info = provider.cache_info()
-        assert info["hits"] == 0 and info["misses"] == 2 and info["entries"] == 0
-
     def test_mixed_time_cached(self):
         provider = ServiceTimeProvider(instance(), context_bucket=1)
         a = provider.mixed_time(8, 500, 256, 1500)

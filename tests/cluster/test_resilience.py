@@ -462,16 +462,12 @@ class TestGoldenDefaults:
 
     DEFAULTS = dict(RESILIENCE_FIELDS)
 
-    @pytest.mark.parametrize("fast", [True, False])
     @pytest.mark.parametrize("metrics", ["exact", "streaming"])
-    def test_phase_split(self, fast, metrics):
+    def test_phase_split(self, metrics):
         t = trace(rate=4.0, duration=8.0)
-        golden = ServingSimulator(
-            pools(), SimConfig(fast_engine=fast, metrics=metrics)
-        ).run(t)
+        golden = ServingSimulator(pools(), SimConfig(metrics=metrics)).run(t)
         report = ServingSimulator(
-            pools(),
-            SimConfig(fast_engine=fast, metrics=metrics, resilience=ResilienceConfig()),
+            pools(), SimConfig(metrics=metrics, resilience=ResilienceConfig())
         ).run(t)
         # With no deadline/SLO every completion is goodput: the only fields
         # allowed to differ are the goodput tallies themselves.
@@ -481,16 +477,12 @@ class TestGoldenDefaults:
         assert report.deadline_missed == report.abandoned == 0
         assert report.availability == 1.0
 
-    @pytest.mark.parametrize("fast", [True, False])
     @pytest.mark.parametrize("metrics", ["exact", "streaming"])
-    def test_colocated(self, fast, metrics):
+    def test_colocated(self, metrics):
         t = trace(rate=4.0, duration=8.0)
-        golden = ColocatedSimulator(
-            colocated(), SimConfig(fast_engine=fast, metrics=metrics)
-        ).run(t)
+        golden = ColocatedSimulator(colocated(), SimConfig(metrics=metrics)).run(t)
         report = ColocatedSimulator(
-            colocated(),
-            SimConfig(fast_engine=fast, metrics=metrics, resilience=ResilienceConfig()),
+            colocated(), SimConfig(metrics=metrics, resilience=ResilienceConfig())
         ).run(t)
         assert replace(report, **self.DEFAULTS) == golden
         assert report.goodput_tokens_per_s == golden.output_tokens_per_s
@@ -527,6 +519,24 @@ class TestEndToEnd:
         assert report.failure_hits >= 1
         assert report.completed > 0
         assert report.goodput_tokens > 0
+
+    def test_checkpointed_restarts_match_pins(self, assert_pinned):
+        """Victims resume past their last checkpoint: the restored token split
+        reads each sequence's generated count at failure time."""
+        t = trace(rate=6.0, duration=10.0, output_tokens=120)
+        config = SimConfig(
+            resilience=ResilienceConfig(deadline_s=60.0, checkpoint_interval=16)
+        )
+        phase_split = ServingSimulator(
+            pools(n_decode=2), config, failures=[(3.0, "decode", 0, 10.0)]
+        ).run(t)
+        colocated_run = ColocatedSimulator(
+            colocated(), config, failures=[(3.0, "colocated", 0, 10.0)]
+        ).run(t)
+        for report in (phase_split, colocated_run):
+            assert report.restarted_requests > 0
+        assert_pinned("checkpoint_phase_split", phase_split)
+        assert_pinned("checkpoint_colocated", colocated_run)
 
     def test_describe_mentions_resilience(self):
         t = trace(rate=6.0, duration=8.0, output_tokens=120)

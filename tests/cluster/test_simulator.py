@@ -333,12 +333,36 @@ class TestPolicyBundles:
 
 class TestCachedServiceTimes:
     def test_exact_cache_is_bit_identical(self):
+        """Every memo entry a run leaves equals a direct roofline evaluation."""
+        from repro.cluster.scheduler import ColocatedPool
+        from repro.cluster.simulator import ColocatedSimulator
+        from repro.core.chunked import MixedIteration, mixed_iteration_time
+
         t = trace(rate=4.0, duration=10.0, seed=8)
-        cached = ServingSimulator(pools(), SimConfig(max_sim_time=600.0)).run(t)
-        uncached = ServingSimulator(
-            pools(), SimConfig(max_sim_time=600.0, cache_service_times=False)
-        ).run(t)
-        assert cached == uncached
+        phase_split = ServingSimulator(pools(), SimConfig(max_sim_time=600.0))
+        colocated = ColocatedSimulator(
+            ColocatedPool(instance=InstanceSpec(LLAMA3_8B, H100, 1), n_instances=1),
+            SimConfig(max_sim_time=600.0),
+        )
+        phase_split.run(t)
+        colocated.run(t)
+        providers = (phase_split.prefill_provider, phase_split.decode_provider, colocated.provider)
+        kinds = set()
+        for provider in providers:
+            spec = provider.instance
+            for key, value in provider._cache.items():
+                kind, *args = key
+                kinds.add(kind)
+                if kind == "p":
+                    assert value == spec.prefill_time(*args)
+                elif kind == "d":
+                    assert value == spec.decode_time(*args)
+                else:
+                    iteration = MixedIteration(*args)
+                    assert value == mixed_iteration_time(
+                        spec.model, spec.gpu, spec.n_gpus, iteration, spec.policy
+                    ).iteration_time
+        assert kinds == {"p", "d", "m"}
 
     def test_coarse_bucket_stays_close(self):
         t = trace(rate=4.0, duration=10.0, seed=8)
@@ -443,19 +467,24 @@ class TestColocated:
 
 
 class TestFastEngine:
-    """fast_engine=True (incremental counters) vs the seed's scan paths."""
+    """The engine's shared iteration logs and incremental counters.
 
-    def test_phase_split_bit_identical(self):
+    Each instance keeps one latency log and derives every resident
+    sequence's token count from the iteration count, instead of per-sequence
+    token counts and latency lists; the reports of runs through the failure
+    paths are pinned to what the per-sequence bookkeeping produced.
+    """
+
+    def test_phase_split_bit_identical(self, assert_pinned):
         t = trace(rate=4.0, duration=20.0)
-        kw = dict(failures=[(10.0, "decode", 0, 30.0)])
-        fast = ServingSimulator(pools(n_decode=2), SimConfig(max_sim_time=600.0), **kw).run(t)
-        legacy = ServingSimulator(
-            pools(n_decode=2), SimConfig(max_sim_time=600.0, fast_engine=False), **kw
+        report = ServingSimulator(
+            pools(n_decode=2), SimConfig(max_sim_time=600.0),
+            failures=[(10.0, "decode", 0, 30.0)],
         ).run(t)
-        assert fast == legacy
-        assert fast.restarted_requests > 0  # the failure path was exercised
+        assert report.restarted_requests > 0  # the failure path was exercised
+        assert_pinned("phase_split_failure", report)
 
-    def test_colocated_bit_identical(self):
+    def test_colocated_bit_identical(self, assert_pinned):
         from repro.cluster.scheduler import ColocatedPool
         from repro.cluster.simulator import ColocatedSimulator
 
@@ -463,37 +492,33 @@ class TestFastEngine:
             instance=InstanceSpec(LLAMA3_8B, H100, 1), n_instances=2, max_decode_batch=64
         )
         t = trace(rate=4.0, duration=20.0)
-        kw = dict(failures=[(2.0, "colocated", 0, 15.0)])
-        fast = ColocatedSimulator(pool, SimConfig(max_sim_time=600.0), **kw).run(t)
-        legacy = ColocatedSimulator(
-            pool, SimConfig(max_sim_time=600.0, fast_engine=False), **kw
+        report = ColocatedSimulator(
+            pool, SimConfig(max_sim_time=600.0), failures=[(2.0, "colocated", 0, 15.0)]
         ).run(t)
-        assert fast == legacy
+        assert_pinned("colocated_failure", report)
 
-    def test_counters_match_scans_through_a_run(self):
+    def test_counters_match_scans_through_a_run(self, recount_every_event):
         """The incremental counters equal a full recount at every event."""
-        from repro.cluster.engine import PhaseSplitEngine, ServiceTimeProvider
+        from repro.cluster.engine import ColocatedEngine, PhaseSplitEngine, ServiceTimeProvider
         from repro.cluster.policies import get_policy_bundle
+        from repro.cluster.scheduler import ColocatedPool
 
         p = pools(n_decode=2)
         config = SimConfig(max_sim_time=600.0)
-        engine = PhaseSplitEngine(
+        phase_split = PhaseSplitEngine(
             p, config, get_policy_bundle("fcfs"),
             ServiceTimeProvider(p.prefill), ServiceTimeProvider(p.decode),
             failures=[(2.0, "decode", 0, 10.0)],
         )
-        checked = 0
-        original = engine._on_decode_admit
-
-        def checking(now, payload):
-            nonlocal checked
-            original(now, payload)
-            for state in engine.decode_states:
-                assert state.occupied == state.scan_occupied_tokens()
-                assert state.context_sum == sum(s.context_len for s in state.active)
-            checked += 1
-
-        engine._on_decode_admit = checking
-        engine.handlers = lambda: {**PhaseSplitEngine.handlers(engine), "decode_admit": checking}
-        engine.run(trace(rate=4.0, duration=10.0))
-        assert checked > 0
+        pool = ColocatedPool(
+            instance=InstanceSpec(LLAMA3_8B, H100, 1), n_instances=2, max_decode_batch=64
+        )
+        colocated = ColocatedEngine(
+            pool, config, get_policy_bundle("fcfs"), ServiceTimeProvider(pool.instance),
+            failures=[(2.0, "colocated", 0, 10.0)],
+        )
+        for engine in (phase_split, colocated):
+            checked = recount_every_event(engine)
+            engine.run(trace(rate=4.0, duration=10.0, seed=7, output_tokens=200))
+            assert engine.requeued > 0  # the eviction path was exercised
+            assert checked[0] > 0

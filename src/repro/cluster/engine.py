@@ -17,6 +17,16 @@ hardcoded FCFS decisions.  This module is the refactored engine room:
   bundle instead of baked-in scheduling, over one shared event loop,
   request lifecycle and decode-tick core.
 
+A decode *tick* is an instance's iteration plus, at its finish, the admit
+that offers the queue and re-arms the instance.  Each engine runs an
+instance's ticks as a loop inside one handler: a step runs inline when it
+lies inside the horizon and :meth:`EventQueue.due_by` finds no pending
+event due at or before its time, which is exactly when its event would pop
+next (a pending event at the same time has the smaller sequence number).
+Otherwise the step is pushed where an engine with one heap event per step
+pushes it.  Sequence numbers only break ties, so skipping a push leaves
+every other event's order, and every report, unchanged.
+
 With the default ``"fcfs"`` bundle and ``context_bucket=1``,
 :class:`PhaseSplitEngine` reproduces the seed simulator event-for-event
 and float-for-float on failure-free runs (golden-pinned in
@@ -91,7 +101,8 @@ class EventQueue:
 
     Events pushed at the same timestamp pop in push order (a monotonically
     increasing sequence number breaks ties), which makes every simulation a
-    pure function of its inputs.
+    pure function of its inputs.  :meth:`due_by` lets an engine run an
+    event inline instead of pushing it when it would pop next anyway.
 
     >>> q = EventQueue()
     >>> q.push(2.0, "b"); q.push(1.0, "a"); q.push(1.0, "c")
@@ -113,6 +124,14 @@ class EventQueue:
         """Remove and return the earliest event as ``(time, kind, payload)``."""
         time, _, kind, payload = heapq.heappop(self._heap)
         return time, kind, payload
+
+    def due_by(self, time: float) -> bool:
+        """True when a pending event is due at or before ``time``.
+
+        When False, an event pushed now at ``time`` would pop next.
+        """
+        heap = self._heap
+        return bool(heap) and heap[0][0] <= time
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -592,6 +611,11 @@ class _EngineBase:
     frequency scalar on every service-time provider.  ``controller=None``
     (or the ``static`` controller) schedules no events at all, keeping the
     event stream bit-identical to the pre-control-plane engine.
+
+    Decode ticks run inline inside handlers (see the module docstring), and
+    every chain of them ends by pushing its instance's next step or by
+    leaving the instance idle.  So between handlers every pending tick is
+    on the heap, which the epoch's ``bool(self.events)`` check relies on.
     """
 
     def __init__(
@@ -631,7 +655,6 @@ class _EngineBase:
 
             self.metrics = StreamingMetrics()
         self.events = EventQueue()
-        self.now = 0.0
         # Clock of the last *request-affecting* event.  Failure/recovery
         # bookkeeping alone must not extend the reported duration: a
         # stochastic schedule spans the whole horizon, and letting an idle
@@ -936,7 +959,6 @@ class _EngineBase:
                 break
             if arrival_iter is not None and kind == "arrival":
                 self._feed_arrival(arrival_iter)
-            self.now = time
             if kind not in _BOOKKEEPING_EVENTS:
                 self.work_time = time
             handler = handlers.get(kind)
@@ -952,9 +974,9 @@ class _EngineBase:
         if action is not None and not action.is_noop():
             self._apply_action(now, action)
         # Keep stepping only while something can still happen: any other
-        # pending event (only run() and this handler push "controller", so
-        # none is queued now), or queued/resident work that a future
-        # scale-up could serve.  Otherwise the epoch chain would pin every
+        # pending event, ticks included (only run() and this handler push
+        # "controller", so none is queued now), or queued/resident work that
+        # a future scale-up could serve.  Otherwise the epoch chain would pin every
         # run to the full horizon.
         if self.events or self._has_pending_work():
             self.events.push(now + self.controller.epoch, "controller", ())
@@ -1182,35 +1204,49 @@ class PhaseSplitEngine(_EngineBase):
         self._admit_decode(now)
         self._dispatch_prefill(now)
 
-    def _on_decode_iter(self, now: float, payload: tuple) -> None:
+    def _on_decode_iter(self, now: float, payload: tuple, admit: bool = False) -> None:
+        """Run decode instance ``idx``'s ticks while each is the event due next.
+
+        ``admit=True`` enters at the end-of-iteration admit.
+        """
         (idx,) = payload
         inst = self.decode_states[idx]
-        if now < inst.down_until or not inst.active:
-            inst.running = False
-            return
-        batch = len(inst.active)
-        # The seed's int(np.mean(contexts)): float64 division of the same
-        # exact integer sum, minus the per-event list build.
-        context = int(inst.context_sum / batch)
-        latency = max(
-            self.decode_provider.decode_time(batch, max(1, context), instance=idx),
-            self.config.min_decode_interval,
-        )
-        finish = self._charge(inst, batch, latency, now)
-        self._complete_due(inst, finish)
-        self.events.push(finish, "decode_admit", (idx,))
+        events = self.events
+        horizon = self.config.max_sim_time
+        while True:
+            if admit:
+                inst.running = False
+                self._admit_decode(now)
+                if inst.draining and not inst.retired and not inst.active:
+                    self._retire_state(inst, now)
+                    return
+                if inst.running or not inst.active or now < inst.down_until:
+                    return
+                inst.running = True
+                if events.due_by(now):
+                    events.push(now, "decode_iter", payload)
+                    return
+            elif now < inst.down_until or not inst.active:
+                inst.running = False
+                return
+            batch = len(inst.active)
+            # The seed's int(np.mean(contexts)): float64 division of the same
+            # exact integer sum, minus the per-event list build.
+            context = int(inst.context_sum / batch)
+            latency = max(
+                self.decode_provider.decode_time(batch, max(1, context), instance=idx),
+                self.config.min_decode_interval,
+            )
+            now = self._charge(inst, batch, latency, now)
+            self._complete_due(inst, now)
+            if now > horizon or events.due_by(now):
+                events.push(now, "decode_admit", payload)
+                return
+            self.work_time = now
+            admit = True
 
     def _on_decode_admit(self, now: float, payload: tuple) -> None:
-        (idx,) = payload
-        inst = self.decode_states[idx]
-        inst.running = False
-        self._admit_decode(now)
-        if inst.draining and not inst.retired and not inst.active:
-            self._retire_state(inst, now)
-            return
-        if inst.active and not inst.running and now >= inst.down_until:
-            inst.running = True
-            self.events.push(now, "decode_iter", (idx,))
+        self._on_decode_iter(now, payload, admit=True)
 
 
 class ColocatedEngine(_EngineBase):
@@ -1271,47 +1307,58 @@ class ColocatedEngine(_EngineBase):
                 inst.running = True
                 self.events.push(max(time, inst.busy_until), "iter", (idx,))
 
-    def _on_iter(self, now: float, payload: tuple) -> None:
+    def _on_iter(self, now: float, payload: tuple, admit: bool = False) -> None:
+        """The per-instance tick loop of :meth:`PhaseSplitEngine._on_decode_iter`."""
         (idx,) = payload
         inst = self.instances[idx]
-        if now < inst.down_until:
-            inst.running = False
-            return
-        if inst.current is None and inst.backlog:
-            inst.current = inst.backlog.popleft()
-        chunk = min(self.pool.chunk_tokens, inst.current.remaining) if inst.current else 0
-        batch = len(inst.active)
-        if batch == 0 and chunk == 0:
-            inst.running = False
-            return
-        context = int(inst.context_sum / batch) if batch else 1
-        prompt_len = inst.current.request.prompt_tokens if inst.current else 1
-        latency = max(
-            self.provider.mixed_time(batch, max(1, context), chunk, prompt_len, instance=idx),
-            self.config.min_decode_interval,
-        )
-        # Chunk-only iterations (batch == 0) are charged and logged too: a
-        # prompt finishing below joins with ``start_iter`` after this
-        # iteration, so its first decode tick is the next one.
-        finish = self._charge(inst, batch, latency, now)
-        if inst.current is not None:
-            inst.current.remaining -= chunk
-            if inst.current.remaining <= 0:
-                request = inst.current.request
-                self._record_ttft(request, finish)
-                inst.join(request)
-                inst.current = None
-        self._complete_due(inst, finish)
-        self.events.push(finish, "admit", (idx,))
+        events = self.events
+        horizon = self.config.max_sim_time
+        while True:
+            if admit:
+                inst.running = False
+                self._dispatch(now)
+                if inst.draining and not inst.retired and not inst.has_work():
+                    self._retire_state(inst, now)
+                    return
+                if inst.running or not inst.has_work() or now < inst.down_until:
+                    return
+                inst.running = True
+                if events.due_by(now):
+                    events.push(now, "iter", payload)
+                    return
+            elif now < inst.down_until:
+                inst.running = False
+                return
+            if inst.current is None and inst.backlog:
+                inst.current = inst.backlog.popleft()
+            chunk = min(self.pool.chunk_tokens, inst.current.remaining) if inst.current else 0
+            batch = len(inst.active)
+            if batch == 0 and chunk == 0:
+                inst.running = False
+                return
+            context = int(inst.context_sum / batch) if batch else 1
+            prompt_len = inst.current.request.prompt_tokens if inst.current else 1
+            latency = max(
+                self.provider.mixed_time(batch, max(1, context), chunk, prompt_len, instance=idx),
+                self.config.min_decode_interval,
+            )
+            # Chunk-only iterations (batch == 0) are charged and logged too: a
+            # prompt finishing below joins with ``start_iter`` after this
+            # iteration, so its first decode tick is the next one.
+            now = self._charge(inst, batch, latency, now)
+            if inst.current is not None:
+                inst.current.remaining -= chunk
+                if inst.current.remaining <= 0:
+                    request = inst.current.request
+                    self._record_ttft(request, now)
+                    inst.join(request)
+                    inst.current = None
+            self._complete_due(inst, now)
+            if now > horizon or events.due_by(now):
+                events.push(now, "admit", payload)
+                return
+            self.work_time = now
+            admit = True
 
     def _on_admit(self, now: float, payload: tuple) -> None:
-        (idx,) = payload
-        inst = self.instances[idx]
-        inst.running = False
-        self._dispatch(now)
-        if inst.draining and not inst.retired and not inst.has_work():
-            self._retire_state(inst, now)
-            return
-        if inst.has_work() and not inst.running and now >= inst.down_until:
-            inst.running = True
-            self.events.push(now, "iter", (idx,))
+        self._on_iter(now, payload, admit=True)

@@ -386,7 +386,8 @@ def test_counters_equal_recount_under_scaling_phase_split(
     recount_every_event, seed, high_rate, warmup
 ):
     """Mid-run spawn/drain/retire exercise the incremental occupied/context
-    counters; after every event they must equal a recount of the residents.
+    counters; after every event and every tick they must equal a recount of
+    the residents.
     Bursts above about 40 req/s make the controller spawn as well as drain."""
     p = pools(n_prefill=1, n_decode=2)
     ctrl = ReactiveController(epoch=4.0, warmup_s=warmup, calm_epochs=2,
@@ -397,7 +398,8 @@ def test_counters_equal_recount_under_scaling_phase_split(
     )
     checked = recount_every_event(engine)
     engine.run(bursty_trace(low=1.0, high=high_rate, segment=25.0, seed=seed))
-    assert checked[0] > 0
+    assert checked["events"] > 0
+    assert checked["ticks"] == sum(s.iter_count for s in engine.decode_states) > 0
 
 
 @settings(max_examples=6, deadline=None)
@@ -415,7 +417,8 @@ def test_counters_equal_recount_under_scaling_colocated(recount_every_event, see
     )
     checked = recount_every_event(engine)
     engine.run(bursty_trace(low=1.0, high=high_rate, segment=25.0, seed=seed))
-    assert checked[0] > 0
+    assert checked["events"] > 0
+    assert checked["ticks"] == sum(s.iter_count for s in engine.instances) > 0
 
 
 class TestPinnedScalingRuns:

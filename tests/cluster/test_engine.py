@@ -1,14 +1,27 @@
-"""Engine-core tests: event queue ordering and memoized service times."""
+"""Engine-core tests: event queue ordering, memoized service times, and
+ticks run inline against the same ticks replayed through the heap."""
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
+import math
+from collections import Counter
+from contextlib import contextmanager
 
-from repro.cluster.engine import EventQueue, ServiceTimeProvider
-from repro.cluster.scheduler import InstanceSpec
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster.control import ReactiveController
+from repro.cluster.engine import EventQueue, ServiceTimeProvider, _EngineBase
+from repro.cluster.failures import FailureModel
+from repro.cluster.resilience import ResilienceConfig
+from repro.cluster.scheduler import ColocatedPool, InstanceSpec, PhasePools
+from repro.cluster.simulator import ColocatedSimulator, ServingSimulator, SimConfig
 from repro.errors import SpecError
 from repro.hardware.gpu import H100
 from repro.workloads.models import LLAMA3_8B
+from repro.workloads.traces import TraceConfig, generate_trace
 
 
 def instance() -> InstanceSpec:
@@ -35,6 +48,14 @@ class TestEventQueue:
         q.push(0.0, "x", (1, 2))
         assert q and len(q) == 1
         assert q.pop() == (0.0, "x", (1, 2))
+
+    def test_due_by(self):
+        q = EventQueue()
+        assert not q.due_by(math.inf)
+        q.push(2.0, "b")
+        q.push(1.0, "a")
+        assert not q.due_by(0.5)
+        assert q.due_by(1.0) and q.due_by(1.5)
 
 
 class TestServiceTimeProvider:
@@ -76,3 +97,111 @@ class TestServiceTimeProvider:
     def test_invalid_bucket(self):
         with pytest.raises(SpecError):
             ServiceTimeProvider(instance(), context_bucket=0)
+
+
+# --- ticks run inline vs the same ticks through the heap --------------------
+
+
+@contextmanager
+def _patched(owner, name, value):
+    original = getattr(owner, name)
+    setattr(owner, name, value)
+    try:
+        yield
+    finally:
+        setattr(owner, name, original)
+
+
+def _simulate(shape, seed, rate, output_tokens, scripted, mtbf, controller, resilience,
+              metrics, horizon):
+    """One small run of either shape; ``scripted`` holds ``(time, pool, index,
+    duration)`` with ``pool`` 0 or 1 (prefill or decode on phase-split)."""
+    config = SimConfig(max_sim_time=horizon, metrics=metrics, resilience=resilience)
+    trace = generate_trace(
+        TraceConfig(rate=rate, duration=15.0, output_tokens=output_tokens, output_spread=0.5),
+        seed=seed,
+    )
+    names = ("prefill", "decode") if shape == "phase_split" else ("colocated", "colocated")
+    options = dict(
+        failures=[(t, names[pool], index, d) for t, pool, index, d in scripted],
+        failure_model=FailureModel(mtbf=mtbf, mttr=8.0) if mtbf is not None else None,
+        failure_seed=seed,
+        controller=controller,
+    )
+    if shape == "phase_split":
+        pools = PhasePools(
+            prefill=instance(), n_prefill=2, decode=instance(), n_decode=2,
+            max_prefill_batch=4, max_decode_batch=32,
+        )
+        return ServingSimulator(pools, config, **options).run(trace)
+    pool = ColocatedPool(instance=instance(), n_instances=2, max_decode_batch=32)
+    return ColocatedSimulator(pool, config, **options).run(trace)
+
+
+def _assert_same_report(shipped, heap) -> None:
+    for f in dataclasses.fields(shipped):
+        a, b = getattr(shipped, f.name), getattr(heap, f.name)
+        assert a == b or (a != a and b != b), f.name  # NaN == NaN
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from(["phase_split", "colocated"]),
+    seed=st.integers(min_value=0, max_value=2**16),
+    rate=st.floats(min_value=1.0, max_value=30.0),
+    output_tokens=st.integers(min_value=10, max_value=200),
+    scripted=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=30.0), st.integers(0, 1), st.integers(0, 1),
+            st.floats(min_value=0.5, max_value=15.0),
+        ),
+        max_size=3,
+    ),
+    mtbf=st.none() | st.floats(min_value=30.0, max_value=300.0),
+    controller=st.none() | st.builds(
+        ReactiveController,
+        epoch=st.sampled_from([2.0, 4.0]), warmup_s=st.floats(min_value=0.0, max_value=10.0),
+        calm_epochs=st.just(2), queue_high=st.just(1.5), max_instances=st.just(5),
+    ),
+    resilience=st.none() | st.builds(
+        ResilienceConfig,
+        deadline_s=st.none() | st.floats(min_value=3.0, max_value=30.0),
+        queue_timeout_s=st.none() | st.floats(min_value=0.5, max_value=5.0),
+        retry=st.sampled_from(["none", "fixed", "exp_jitter"]),
+        checkpoint_interval=st.none() | st.sampled_from([16, 64]),
+    ),
+    metrics=st.sampled_from(["exact", "streaming"]),
+    horizon=st.floats(min_value=2.0, max_value=60.0) | st.just(600.0),
+)
+def test_inline_ticks_match_heap_ticks(**draw):
+    """Running a tick inline only when it is the event due next is the
+    one-event-per-step engine, report for report: with ``due_by`` always
+    True every step goes through the heap, as it did before inlining."""
+    shipped = _simulate(**draw)
+    with _patched(EventQueue, "due_by", lambda queue, time: True):
+        heap = _simulate(**draw)
+    _assert_same_report(shipped, heap)
+
+
+def test_ticks_run_inline():
+    """The property above would also pass with inlining switched off: on one
+    fixed draw the shipped run must push fewer tick events than it runs ticks."""
+    kinds: Counter = Counter()
+    push, charge = EventQueue.push, _EngineBase._charge
+
+    def counting_push(queue, time, kind, payload=()):
+        kinds[kind] += 1
+        push(queue, time, kind, payload)
+
+    def counting_charge(engine, *args):
+        kinds["ticks"] += 1
+        return charge(engine, *args)
+
+    with _patched(EventQueue, "push", counting_push), \
+            _patched(_EngineBase, "_charge", counting_charge):
+        report = _simulate(
+            "phase_split", seed=7, rate=4.0, output_tokens=100, scripted=[], mtbf=None,
+            controller=None, resilience=None, metrics="exact", horizon=600.0,
+        )
+    assert report.completed > 0
+    assert kinds["decode_iter"] + kinds["decode_admit"] < kinds["ticks"]

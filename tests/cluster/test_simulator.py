@@ -498,7 +498,7 @@ class TestFastEngine:
         assert_pinned("colocated_failure", report)
 
     def test_counters_match_scans_through_a_run(self, recount_every_event):
-        """The incremental counters equal a full recount at every event."""
+        """The incremental counters equal a full recount at every event and tick."""
         from repro.cluster.engine import ColocatedEngine, PhaseSplitEngine, ServiceTimeProvider
         from repro.cluster.policies import get_policy_bundle
         from repro.cluster.scheduler import ColocatedPool
@@ -521,4 +521,6 @@ class TestFastEngine:
             checked = recount_every_event(engine)
             engine.run(trace(rate=4.0, duration=10.0, seed=7, output_tokens=200))
             assert engine.requeued > 0  # the eviction path was exercised
-            assert checked[0] > 0
+            assert checked["events"] > 0
+            decoding = engine.states[engine.pool_names[-1]]
+            assert checked["ticks"] == sum(s.iter_count for s in decoding) > 0

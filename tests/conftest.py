@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -87,28 +88,40 @@ def _recount(state: DecodeState) -> None:
 
 @pytest.fixture(scope="session")
 def recount_every_event():
-    """``install(engine)``: recount its counters after every event it handles.
+    """``install(engine)``: recount its counters after every event and tick.
 
-    ``install`` wraps the engine's handlers and returns a one-element list
-    holding the number of events checked so far.
+    ``install`` wraps the engine's handlers, and its ``_complete_due`` (run
+    once per iteration in both engines, also for ticks an instance runs
+    inline without a heap event).  It returns a Counter of the
+    ``"events"`` and ``"ticks"`` checked so far.
     """
 
-    def install(engine) -> list:
-        checked = [0]
+    def install(engine) -> Counter:
+        checked: Counter = Counter()
         handlers = engine.handlers
+        complete_due = engine._complete_due
+
+        def recount_all() -> None:
+            for states in engine.states.values():
+                for state in states:
+                    if isinstance(state, DecodeState):
+                        _recount(state)
 
         def wrap(handler):
             def checking(now, payload):
                 handler(now, payload)
-                for states in engine.states.values():
-                    for state in states:
-                        if isinstance(state, DecodeState):
-                            _recount(state)
-                checked[0] += 1
+                recount_all()
+                checked["events"] += 1
 
             return checking
 
+        def checking_tick(inst, finish):
+            complete_due(inst, finish)
+            recount_all()
+            checked["ticks"] += 1
+
         engine.handlers = lambda: {kind: wrap(h) for kind, h in handlers().items()}
+        engine._complete_due = checking_tick
         return checked
 
     return install

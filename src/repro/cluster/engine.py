@@ -12,6 +12,12 @@ hardcoded FCFS decisions.  This module is the refactored engine room:
   caching on ``(batch, context-bucket)`` keys removes that from the hot
   path (``context_bucket=1`` keeps results bit-exact, coarser buckets trade
   ≤ one bucket of context for large wall-clock wins);
+- :class:`shared_service_memos` — a sharing scope: while it is open,
+  providers for equal :class:`InstanceSpec` values share one memo table,
+  so the many simulators of a sweep, screen or sharded run evaluate each
+  roofline point once.  :func:`repro.exec.runner.run_many` opens it for
+  the length of each call; outside a scope every provider starts from an
+  empty memo;
 - :class:`PhaseSplitEngine` and :class:`ColocatedEngine` — the two
   deployment shapes, both driven by a :class:`repro.cluster.policies`
   bundle instead of baked-in scheduling, over one shared event loop,
@@ -39,6 +45,7 @@ overlapping failures extend an outage rather than truncating it.
 from __future__ import annotations
 
 import abc
+import contextvars
 import copy
 import heapq
 import itertools
@@ -189,6 +196,34 @@ class AbstractServiceTimeProvider(abc.ABC):
         """Hit/miss counters (for benchmarks/tests)."""
 
 
+#: The open sharing scope's memo tables, one per distinct InstanceSpec
+#: (None outside a scope).
+_SHARED_MEMOS: contextvars.ContextVar[Optional[Dict[InstanceSpec, Dict[tuple, float]]]] = (
+    contextvars.ContextVar("shared_service_memos", default=None)
+)
+
+
+class shared_service_memos:
+    """Scope in which providers of equal :class:`InstanceSpec` share a memo.
+
+    While a scope is open, every :class:`ServiceTimeProvider` built takes
+    its memo from a table keyed by its spec instead of starting empty.  The
+    scope is re-entrant: an inner scope (a ``run_many`` inside a sweep
+    point) keeps the outer table, and only the outermost exit drops it.
+    The table lives in a :class:`contextvars.ContextVar`: each thread and
+    process has its own, and a forked pool worker starts from a copy of
+    its parent's.
+    """
+
+    def __enter__(self) -> None:
+        outer = _SHARED_MEMOS.get() is not None
+        self._token = None if outer else _SHARED_MEMOS.set({})
+
+    def __exit__(self, *exc_info) -> None:
+        if self._token is not None:
+            _SHARED_MEMOS.reset(self._token)
+
+
 class ServiceTimeProvider(AbstractServiceTimeProvider):
     """Memoizing service-time oracle for one :class:`InstanceSpec`.
 
@@ -199,6 +234,16 @@ class ServiceTimeProvider(AbstractServiceTimeProvider):
     *context bucket*: with ``context_bucket=1`` results are bit-exact; with
     a coarser bucket the context is rounded **up** to the next bucket edge
     (a conservative latency estimate) and the hit rate soars.
+
+    Inside a :class:`shared_service_memos` scope the memo is shared with
+    every provider built in the scope for an equal spec, until the scope
+    closes; outside one, each provider starts empty.  Sharing is exact: a
+    memo value is a pure function of the frozen spec and its key, the key
+    holds the *bucketed* lengths (so providers with different buckets
+    agree on every key), and values are base-clock latencies (the DVFS
+    scalar is applied per provider on the way out).  The ``hits`` and
+    ``misses`` counters stay per provider, while ``cache_info()["entries"]``
+    counts the shared table.
     """
 
     def __init__(self, instance: InstanceSpec, context_bucket: int = 1) -> None:
@@ -206,7 +251,8 @@ class ServiceTimeProvider(AbstractServiceTimeProvider):
             raise SpecError("context_bucket must be at least 1")
         self.instance = instance
         self.context_bucket = int(context_bucket)
-        self._cache: Dict[tuple, float] = {}
+        tables = _SHARED_MEMOS.get()
+        self._cache: Dict[tuple, float] = {} if tables is None else tables.setdefault(instance, {})
         self.hits = 0
         self.misses = 0
 
@@ -287,6 +333,10 @@ class NetworkAwareServiceTimeProvider(ServiceTimeProvider):
     Packed placements (TP groups inside one direct-connect group / leaf)
     therefore beat scattered ones on the same deployment — the co-design
     signal the paper's Section 3 is after.  Groups of one GPU pay nothing.
+
+    Only the base roofline memo is shared inside a
+    :class:`shared_service_memos` scope; the overhead memo depends on the
+    placement, so it stays per provider.
     """
 
     def __init__(
@@ -584,10 +634,16 @@ def _tail_mean(inst: DecodeState, seq: ActiveSequence) -> float:
     """Mean per-token latency of a sequence completing *now*.
 
     The log tail from ``start_iter`` holds exactly the latencies of the
-    sequence's own iterations, in order, so ``np.mean`` equals the mean of
-    a per-sequence latency list bit for bit.
+    sequence's own iterations, in order.  Summing a view of it with
+    ``np.add.reduce`` and dividing by the count is what ``np.mean`` does,
+    so the result equals the mean of a per-sequence latency list bit for
+    bit, without copying the tail.  The view is dropped before returning:
+    while it lives, ``iter_log.append`` raises ``BufferError``.
     """
-    return float(np.mean(inst.iter_log[seq.start_iter - inst.log_base:]))
+    log = inst.iter_log
+    start = seq.start_iter - inst.log_base
+    total = np.add.reduce(np.frombuffer(log, offset=start * log.itemsize))
+    return float(total / (len(log) - start))
 
 
 # --- engines ----------------------------------------------------------------

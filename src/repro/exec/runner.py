@@ -19,6 +19,12 @@ functions of their inputs — so ``workers=4`` is bit-identical to
 Failure isolation: a job that raises is captured as a
 :class:`JobOutcome` with ``error`` set instead of aborting its siblings;
 callers choose whether to surface or skip errored points.
+
+Shared service-time memos: each call runs its jobs inside a
+:class:`~repro.cluster.engine.shared_service_memos` scope — around the
+in-process jobs, and in each pool worker for the pool's lifetime — so the
+simulators of one sweep, screen or sharded run evaluate each roofline
+point once per process, not once per simulator.
 """
 
 from __future__ import annotations
@@ -88,6 +94,13 @@ class JobOutcome:
         return self.error is None
 
 
+def _share_service_memos() -> None:
+    """Pool initializer: the worker's providers share memos until it exits."""
+    from ..cluster.engine import shared_service_memos  # local: cluster imports exec
+
+    shared_service_memos().__enter__()
+
+
 def _execute(job: Job) -> Tuple[Any, Optional[str]]:
     """Run one job, capturing any exception as ``(None, "Type: message")``."""
     try:
@@ -110,6 +123,13 @@ def run_many(
     number of pending jobs; when the effective count is 1 the jobs run
     in-process — no pool, no pickling, no fork overhead.
 
+    Service-time providers built by the jobs share one memo per
+    :class:`~repro.cluster.scheduler.InstanceSpec` for the length of the
+    call (in-process) or of the pool (in each worker); the table is freed
+    when the call returns.  An inner ``run_many`` reuses the outer call's
+    table.  This is exact, because a memo value depends only on the spec
+    and its key (see :class:`~repro.cluster.engine.ServiceTimeProvider`).
+
     >>> outcomes = run_many([Job(fn=abs, args=(-3,)), Job(fn=abs, args=(4,))])
     >>> [o.value for o in outcomes]
     [3, 4]
@@ -128,11 +148,16 @@ def run_many(
     if pending:
         todo = [jobs[i] for i in pending]
         if workers == 1 or len(todo) == 1:
-            results = [_execute(job) for job in todo]
+            from ..cluster.engine import shared_service_memos
+
+            with shared_service_memos():
+                results = [_execute(job) for job in todo]
         else:
             # chunksize=1: experiment jobs are coarse (whole simulations),
             # so per-task dispatch overhead is noise and load balance wins.
-            with multiprocessing.get_context().Pool(min(workers, len(todo))) as pool:
+            with multiprocessing.get_context().Pool(
+                min(workers, len(todo)), initializer=_share_service_memos
+            ) as pool:
                 results = pool.map(_execute, todo, chunksize=1)
         for i, (value, error) in zip(pending, results):
             outcomes[i] = JobOutcome(value=value, error=error, label=jobs[i].label)

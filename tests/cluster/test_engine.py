@@ -5,15 +5,26 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from array import array
 from collections import Counter
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.control import ReactiveController
-from repro.cluster.engine import EventQueue, ServiceTimeProvider, _EngineBase
+from repro.cluster.engine import (
+    _SHARED_MEMOS,
+    ActiveSequence,
+    DecodeState,
+    EventQueue,
+    ServiceTimeProvider,
+    _EngineBase,
+    _tail_mean,
+    shared_service_memos,
+)
 from repro.cluster.failures import FailureModel
 from repro.cluster.resilience import ResilienceConfig
 from repro.cluster.scheduler import ColocatedPool, InstanceSpec, PhasePools
@@ -21,7 +32,7 @@ from repro.cluster.simulator import ColocatedSimulator, ServingSimulator, SimCon
 from repro.errors import SpecError
 from repro.hardware.gpu import H100
 from repro.workloads.models import LLAMA3_8B
-from repro.workloads.traces import TraceConfig, generate_trace
+from repro.workloads.traces import Request, TraceConfig, generate_trace
 
 
 def instance() -> InstanceSpec:
@@ -97,6 +108,71 @@ class TestServiceTimeProvider:
     def test_invalid_bucket(self):
         with pytest.raises(SpecError):
             ServiceTimeProvider(instance(), context_bucket=0)
+
+    @staticmethod
+    def _evaluate(provider):
+        return (
+            provider.decode_time(4, 100), provider.decode_time(8, 777),
+            provider.prefill_time(2, 1500), provider.mixed_time(8, 500, 256, 1500),
+        )
+
+    def test_scope_shares_the_memo_of_equal_specs(self):
+        with shared_service_memos():
+            first = ServiceTimeProvider(instance())
+            values = self._evaluate(first)
+            # Equal but distinct spec: it hits every key the first one evaluated.
+            second = ServiceTimeProvider(instance())
+            assert second.instance is not first.instance
+            assert self._evaluate(second) == values
+            assert (second.hits, second.misses) == (4, 0)
+            assert (first.hits, first.misses) == (0, 4)
+            assert first.cache_info()["entries"] == second.cache_info()["entries"] == 4
+            other_spec = ServiceTimeProvider(InstanceSpec(LLAMA3_8B, H100, 2))
+            assert other_spec.cache_info()["entries"] == 0
+
+    def test_outside_a_scope_a_provider_starts_empty(self):
+        with shared_service_memos():
+            self._evaluate(ServiceTimeProvider(instance()))
+        provider = ServiceTimeProvider(instance())
+        assert provider.cache_info() == {"hits": 0, "misses": 0, "entries": 0}
+        self._evaluate(provider)
+        assert provider.misses == 4
+
+    def test_nested_scopes_reuse_the_outer_table(self):
+        with shared_service_memos():
+            self._evaluate(ServiceTimeProvider(instance()))
+            with shared_service_memos():
+                inner = ServiceTimeProvider(instance())
+                self._evaluate(inner)
+            # Leaving the inner scope keeps the outer one open.
+            after = ServiceTimeProvider(instance())
+            self._evaluate(after)
+        assert inner.misses == after.misses == 0
+        assert _SHARED_MEMOS.get() is None
+
+    def test_scope_closes_after_an_exception(self):
+        with pytest.raises(RuntimeError, match="inside"):
+            with shared_service_memos():
+                self._evaluate(ServiceTimeProvider(instance()))
+                raise RuntimeError("raised inside the scope")
+        assert _SHARED_MEMOS.get() is None
+        assert ServiceTimeProvider(instance()).cache_info()["entries"] == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    latencies=st.lists(
+        st.floats(min_value=1e-6, max_value=10.0, allow_nan=False), min_size=1, max_size=600
+    ),
+    log_base=st.integers(min_value=0, max_value=10_000),
+    data=st.data(),
+)
+def test_tail_mean_equals_np_mean_of_the_tail_bitwise(latencies, log_base, data):
+    offset = data.draw(st.integers(min_value=0, max_value=len(latencies) - 1))
+    inst = DecodeState(iter_log=array("d", latencies), log_base=log_base)
+    seq = ActiveSequence(Request(0, 0.0, 1, 1), start_iter=log_base + offset)
+    assert _tail_mean(inst, seq).hex() == float(np.mean(latencies[offset:])).hex()
+    inst.iter_log.append(1.0)  # no buffer export outlives the call
 
 
 # --- ticks run inline vs the same ticks through the heap --------------------

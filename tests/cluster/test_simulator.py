@@ -333,22 +333,34 @@ class TestPolicyBundles:
 
 class TestCachedServiceTimes:
     def test_exact_cache_is_bit_identical(self):
-        """Every memo entry a run leaves equals a direct roofline evaluation."""
+        """Every memo entry a run leaves equals a direct roofline evaluation,
+        also in the one table two simulators of a spec fill inside a scope."""
+        from repro.cluster.engine import shared_service_memos
         from repro.cluster.scheduler import ColocatedPool
         from repro.cluster.simulator import ColocatedSimulator
         from repro.core.chunked import MixedIteration, mixed_iteration_time
 
         t = trace(rate=4.0, duration=10.0, seed=8)
-        phase_split = ServingSimulator(pools(), SimConfig(max_sim_time=600.0))
-        colocated = ColocatedSimulator(
-            ColocatedPool(instance=InstanceSpec(LLAMA3_8B, H100, 1), n_instances=1),
-            SimConfig(max_sim_time=600.0),
-        )
-        phase_split.run(t)
-        colocated.run(t)
-        providers = (phase_split.prefill_provider, phase_split.decode_provider, colocated.provider)
+
+        def run_both():
+            phase_split = ServingSimulator(pools(), SimConfig(max_sim_time=600.0))
+            colocated = ColocatedSimulator(
+                ColocatedPool(instance=InstanceSpec(LLAMA3_8B, H100, 1), n_instances=1),
+                SimConfig(max_sim_time=600.0),
+            )
+            phase_split.run(t)
+            colocated.run(t)
+            return phase_split.prefill_provider, phase_split.decode_provider, colocated.provider
+
+        providers = run_both()
+        with shared_service_memos():
+            shared = run_both()
+        # Every pool runs the same spec, so the scope left one table.
+        table = shared[0]._cache
+        assert all(provider._cache is table for provider in shared)
+        assert table == {k: v for provider in providers for k, v in provider._cache.items()}
         kinds = set()
-        for provider in providers:
+        for provider in providers + shared[:1]:
             spec = provider.instance
             for key, value in provider._cache.items():
                 kind, *args = key

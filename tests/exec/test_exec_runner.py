@@ -1,12 +1,22 @@
-"""Parallel runner tests: ordering, determinism, isolation, caching."""
+"""Parallel runner tests: ordering, determinism, isolation, caching, and
+the service-time memos a call's jobs share."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis.sweeps import sweep_grid
+from repro.cluster.engine import _SHARED_MEMOS, ServiceTimeProvider
+from repro.cluster.resilience import ResilienceConfig
+from repro.cluster.scheduler import ColocatedPool, InstanceSpec, PhasePools
+from repro.cluster.simulator import ColocatedSimulator, ServingSimulator, SimConfig
 from repro.errors import SpecError
 from repro.exec.cache import ResultCache
 from repro.exec.runner import Job, JobOutcome, run_many
+from repro.hardware.gpu import H100
+from repro.network.topology import DirectConnectTopology
+from repro.workloads.models import LLAMA3_8B
+from repro.workloads.traces import TraceConfig, generate_trace
 
 
 def _square(x: int) -> int:
@@ -95,3 +105,83 @@ class TestJobOutcome:
     def test_ok_property(self):
         assert JobOutcome(value=1).ok
         assert not JobOutcome(error="ValueError: x").ok
+
+
+# --- service-time memos shared by one call's jobs ---------------------------
+
+
+def _probe_misses() -> int:
+    """Evaluate one roofline point with a new provider; return its misses."""
+    provider = ServiceTimeProvider(InstanceSpec(LLAMA3_8B, H100, 1))
+    provider.decode_time(4, 100)
+    return provider.misses
+
+
+def _nested_probe_misses() -> int:
+    _probe_misses()
+    return run_many([Job(fn=_probe_misses)])[0].value
+
+
+def _sim_point(shape: str, variant: str):
+    """One small run; every variant and shape uses the same TP2 spec."""
+    spec = InstanceSpec(LLAMA3_8B, H100, 2)
+    config = SimConfig(
+        max_sim_time=120.0,
+        context_bucket=64 if variant == "bucket64" else 1,
+        resilience=ResilienceConfig(checkpoint_interval=16) if variant == "checkpoint" else None,
+    )
+    options = {}
+    if variant == "fabric":
+        options = dict(
+            topology=DirectConnectTopology(n_gpus=8, group=2),
+            placer="scattered",
+            network_model="fabric",
+        )
+    trace = generate_trace(
+        TraceConfig(rate=6.0, duration=5.0, output_tokens=40, output_spread=0.5), seed=3
+    )
+    if shape == "phase_split":
+        pools = PhasePools(
+            prefill=spec, n_prefill=1, decode=spec, n_decode=2,
+            max_prefill_batch=4, max_decode_batch=32,
+        )
+        return ServingSimulator(pools, config, **options).run(trace)
+    pool = ColocatedPool(instance=spec, n_instances=2, max_decode_batch=32)
+    return ColocatedSimulator(pool, config, **options).run(trace)
+
+
+SHAPES = ["phase_split", "colocated"]
+VARIANTS = ["plain", "bucket64", "fabric", "checkpoint"]
+
+
+@pytest.fixture(scope="module")
+def unshared_reports():
+    """Each sweep point run on its own, outside any sharing scope."""
+    assert _SHARED_MEMOS.get() is None
+    return {(s, v): _sim_point(s, v) for s in SHAPES for v in VARIANTS}
+
+
+class TestSharedServiceMemos:
+    def test_jobs_of_one_call_share_memos(self):
+        outcomes = run_many([Job(fn=_probe_misses) for _ in range(3)])
+        assert [o.value for o in outcomes] == [1, 0, 0]
+
+    def test_each_pool_worker_shares_memos(self):
+        outcomes = run_many([Job(fn=_probe_misses) for _ in range(6)], workers=2)
+        assert all(o.ok for o in outcomes)
+        assert sum(o.value for o in outcomes) <= 2
+
+    def test_inner_call_reuses_the_outer_table(self):
+        assert run_many([Job(fn=_nested_probe_misses)])[0].value == 0
+
+    def test_no_table_outlives_the_call(self):
+        run_many([Job(fn=_probe_misses), Job(fn=_boom, args=(1,))])
+        assert _SHARED_MEMOS.get() is None
+        assert _probe_misses() == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_reports_equal_unshared_runs(self, workers, unshared_reports):
+        records = sweep_grid(_sim_point, SHAPES, VARIANTS, "shape", "variant", workers=workers)
+        assert all("error" not in r for r in records)
+        for record in records:
+            assert record["result"] == unshared_reports[record["shape"], record["variant"]]

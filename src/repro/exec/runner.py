@@ -25,10 +25,16 @@ Shared service-time memos: each call runs its jobs inside a
 in-process jobs, and in each pool worker for the pool's lifetime — so the
 simulators of one sweep, screen or sharded run evaluate each roofline
 point once per process, not once per simulator.
+
+Pool start-up: workers fork with the parent's heap frozen, so their
+garbage collector does not copy it, and each starts on an allowed CPU of
+its own instead of on its parent's (see :func:`_start_pool` and
+:func:`_place_on_cpu`).
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 from dataclasses import dataclass, field
@@ -94,11 +100,57 @@ class JobOutcome:
         return self.error is None
 
 
-def _share_service_memos() -> None:
-    """Pool initializer: the worker's providers share memos until it exits."""
+def _place_on_cpu(slot: int) -> None:
+    """Move this process onto the ``slot``-th allowed CPU, then unpin it.
+
+    A forked pool worker starts on its parent's CPU, and the kernel does not
+    always move it off: on a 2-vCPU VM (Linux 6.18) both workers of a
+    2-process pool ran whole sweeps on one CPU while the other idled, so the
+    pool ran at serial speed.  Briefly pinning worker ``slot`` to a CPU of its
+    own spreads the workers from the first job; restoring the full mask
+    leaves the kernel free to move them afterwards.
+    """
+    try:
+        allowed = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {allowed[slot % len(allowed)]})
+        os.sched_setaffinity(0, allowed)
+    except (AttributeError, OSError):  # pragma: no cover - no affinity API
+        pass
+
+
+def _start_worker(slots) -> None:
+    """Pool initializer: take a CPU slot, and share memos until exit."""
     from ..cluster.engine import shared_service_memos  # local: cluster imports exec
 
+    with slots.get_lock():
+        slot = slots.value
+        slots.value += 1
+    _place_on_cpu(slot)
     shared_service_memos().__enter__()
+
+
+def _start_pool(processes: int):
+    """Fork a pool of ``processes`` workers with the parent's heap frozen.
+
+    A forked worker's first full garbage collection walks every object it
+    inherited and writes to each one's header, so it copies most of the
+    parent's heap page by page before its first job.  In a 90 MB test-suite
+    process that held the first job back by 60–90 ms and slowed the
+    workers' jobs too.  :func:`gc.freeze` around the fork moves the parent's
+    objects into a generation the workers' collector skips; the parent
+    unfreezes them once the workers exist, and leaves alone a heap that its
+    caller froze.
+    """
+    context = multiprocessing.get_context()
+    slots = context.Value("i", 0)
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
+    try:
+        return context.Pool(processes, initializer=_start_worker, initargs=(slots,))
+    finally:
+        if freeze:
+            gc.unfreeze()
 
 
 def _execute(job: Job) -> Tuple[Any, Optional[str]]:
@@ -155,9 +207,7 @@ def run_many(
         else:
             # chunksize=1: experiment jobs are coarse (whole simulations),
             # so per-task dispatch overhead is noise and load balance wins.
-            with multiprocessing.get_context().Pool(
-                min(workers, len(todo)), initializer=_share_service_memos
-            ) as pool:
+            with _start_pool(min(workers, len(todo))) as pool:
                 results = pool.map(_execute, todo, chunksize=1)
         for i, (value, error) in zip(pending, results):
             outcomes[i] = JobOutcome(value=value, error=error, label=jobs[i].label)

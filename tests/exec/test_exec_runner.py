@@ -1,7 +1,10 @@
-"""Parallel runner tests: ordering, determinism, isolation, caching, and
-the service-time memos a call's jobs share."""
+"""Parallel runner tests: ordering, determinism, isolation, caching, pool
+start-up, and the service-time memos a call's jobs share."""
 
 from __future__ import annotations
+
+import gc
+import os
 
 import pytest
 
@@ -12,7 +15,7 @@ from repro.cluster.scheduler import ColocatedPool, InstanceSpec, PhasePools
 from repro.cluster.simulator import ColocatedSimulator, ServingSimulator, SimConfig
 from repro.errors import SpecError
 from repro.exec.cache import ResultCache
-from repro.exec.runner import Job, JobOutcome, run_many
+from repro.exec.runner import Job, JobOutcome, _place_on_cpu, _start_pool, run_many
 from repro.hardware.gpu import H100
 from repro.network.topology import DirectConnectTopology
 from repro.workloads.models import LLAMA3_8B
@@ -31,6 +34,10 @@ def _mixed(x: int) -> int:
     if x == 2:
         raise RuntimeError("two is right out")
     return x + 10
+
+
+def _affinity() -> list:
+    return sorted(os.sched_getaffinity(0))
 
 
 class TestRunMany:
@@ -66,6 +73,35 @@ class TestRunMany:
     def test_kwargs_pass_through(self):
         outcomes = run_many([Job(fn=int, args=("ff",), kwargs={"base": 16})])
         assert outcomes[0].value == 255
+
+
+class TestPoolStartup:
+    def test_workers_fork_with_the_heap_frozen(self):
+        with _start_pool(2) as pool:
+            assert pool.apply(gc.get_freeze_count) > 0
+        assert gc.get_freeze_count() == 0
+
+    def test_a_heap_the_caller_froze_stays_frozen(self):
+        gc.freeze()
+        try:
+            with _start_pool(1) as pool:
+                assert pool.apply(gc.get_freeze_count) > 0
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+
+    def test_placement_leaves_the_affinity_mask_unchanged(self):
+        before = os.sched_getaffinity(0)
+        try:
+            for slot in range(3):
+                _place_on_cpu(slot)
+                assert os.sched_getaffinity(0) == before
+        finally:
+            os.sched_setaffinity(0, before)
+
+    def test_pool_workers_keep_every_allowed_cpu(self):
+        outcomes = run_many([Job(fn=_affinity) for _ in range(4)], workers=2)
+        assert [o.value for o in outcomes] == [_affinity()] * 4
 
 
 class TestRunManyCache:

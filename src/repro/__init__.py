@@ -63,7 +63,7 @@ from .workloads import (
     get_model,
 )
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     "CommModel",

@@ -21,9 +21,15 @@ Usage::
     python -m repro cache stats | clear          # on-disk result cache
 
 All subcommands print plain text and touch neither the network nor disk —
-except ``sweep``, which (unless ``--no-cache``) persists finished points
-under ``--cache-dir`` (default ``.repro_cache/``) so repeat invocations
-skip completed work, and ``cache``, which inspects/clears that directory.
+except ``sweep`` and ``screen``, which (unless ``--no-cache``) persist
+finished points under ``--cache-dir`` (default ``.repro_cache/``) so repeat
+invocations skip completed work, and ``cache``, which inspects/clears that
+directory.
+
+``simulate``, ``sweep``, ``screen`` and ``autoscale`` share one flag table
+(:data:`_FLAGS`) and describe each run as one
+:class:`~repro.exec.runspec.RunSpec`, whose construction rejects inputs
+that do not compose.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import List, Optional
+from dataclasses import replace
+from typing import Any, Dict, List, Optional
 
 from .analysis.figures import (
     fig1_evolution_series,
@@ -60,7 +67,7 @@ from .cluster.policies import POLICY_BUNDLES, ROUTING_POLICIES
 from .cluster.resilience import goodput_dip
 from .cluster.power_manager import ClusterPowerManager
 from .cluster.scheduler import ColocatedPool, InstanceSpec, PhasePools
-from .cluster.simulator import ColocatedSimulator, ServingSimulator, SimConfig
+from .cluster.simulator import NETWORK_MODELS, SimConfig
 from .cluster.spec import ClusterSpec
 from .analysis.screening import screen_then_simulate
 from .analysis.sweeps import argbest
@@ -68,24 +75,13 @@ from .core.search import search_best_config
 from .errors import LiteGPUError, SimulationError
 from .exec.cache import ResultCache
 from .exec.runner import Job, run_many
-from .exec.sharding import run_sharded
+from .exec.runspec import TOPOLOGIES, RunSpec
 from .hardware.gpu import H100, get_gpu
 from .hardware.tco import tokens_per_dollar_comparison
 from .network.fabric import compare_fabrics
-from .network.topology import (
-    DirectConnectTopology,
-    FlatCircuitTopology,
-    SwitchedTopology,
-    Topology,
-)
 from .units import GB_PER_S, HOUR, KILOWATT
 from .workloads.models import get_model
-from .workloads.traces import (
-    TraceConfig,
-    generate_piecewise_trace,
-    generate_trace,
-    trace_fingerprint,
-)
+from .workloads.traces import TraceConfig, generate_trace, trace_fingerprint
 
 
 def _csv_floats(text: str) -> List[float]:
@@ -165,36 +161,6 @@ def _cmd_tco(args: argparse.Namespace) -> None:
     )
 
 
-def _build_topology(kind: str, n_gpus: int, group: int) -> Optional[Topology]:
-    """Materialize a CLI-selected topology over ``n_gpus`` endpoints.
-
-    Direct-connect fabrics round the GPU count up to a whole number of
-    groups (spare endpoints simply stay unplaced).
-    """
-    if kind == "none":
-        return None
-    if group <= 0:
-        raise SimulationError("--group must be positive")
-    if n_gpus <= 0:
-        raise SimulationError("--cluster-gpus must be positive")
-    if kind == "direct":
-        n = ((n_gpus + group - 1) // group) * group
-        return DirectConnectTopology(n_gpus=n, group=group)
-    if kind == "switched":
-        return SwitchedTopology(n_gpus=n_gpus)
-    return FlatCircuitTopology(n_gpus=n_gpus)
-
-
-def _check_topology_flags(args: argparse.Namespace) -> None:
-    """Reject placement flags that would be silently ignored without a
-    topology (``--network-model fabric`` already fails in the simulator)."""
-    if args.topology == "none" and (args.placer != "packed" or args.cluster_gpus):
-        raise SimulationError(
-            "--placer/--cluster-gpus have no effect without --topology "
-            "direct|switched|circuit"
-        )
-
-
 def _cmd_topology(args: argparse.Namespace) -> None:
     reports = compare_fabrics(args.gpus, group=args.group, utilization=args.utilization)
     rows = [
@@ -222,91 +188,76 @@ def _cmd_topology(args: argparse.Namespace) -> None:
     )
 
 
-def _cmd_simulate(args: argparse.Namespace) -> None:
-    _check_topology_flags(args)
-    model = get_model(args.model)
-    trace = generate_trace(
-        TraceConfig(
-            rate=args.rate,
-            duration=args.duration,
-            output_tokens=args.output_tokens,
-            output_spread=args.output_spread,
-        ),
-        seed=args.seed,
-    )
-    if args.backend != "event" and args.shards > 1:
-        raise SimulationError("--backend fluid cannot be combined with --shards")
-    config = SimConfig(
-        max_sim_time=args.max_sim_time,
-        context_bucket=args.context_bucket,
-        metrics=args.metrics,
-        backend=args.backend,
-    )
-    failure_model = None
-    if args.mtbf_hours > 0:
-        failure_model = FailureModel(mtbf=args.mtbf_hours * HOUR, mttr=args.mttr_hours * HOUR)
-    if args.shape == "phase-split":
+def _pick(flags: Dict[str, Any], *names: str) -> Dict[str, Any]:
+    """The named flags a subcommand has (the rest keep library defaults)."""
+    return {name: flags[name] for name in names if name in flags}
+
+
+def _run_spec(flags: Dict[str, Any]) -> RunSpec:
+    """The :class:`RunSpec` of a run subcommand's flags (``vars(args)``).
+
+    Flags the subcommand does not define keep the defaults of ``RunSpec``,
+    ``SimConfig`` and ``TraceConfig``.  A sweep or screen point arrives
+    with its ``rate`` and pool size already folded in.
+    """
+    model = get_model(flags["model"])
+    per_instance = flags["gpus_per_instance"]
+    if flags.get("shape", "phase-split") == "phase-split":
         deployment = PhasePools(
-            prefill=InstanceSpec(model, get_gpu(args.prefill_gpu), args.gpus_per_instance),
-            n_prefill=args.n_prefill,
-            decode=InstanceSpec(model, get_gpu(args.decode_gpu), args.gpus_per_instance),
-            n_decode=args.n_decode,
-            max_prefill_batch=args.max_prefill_batch,
-            max_decode_batch=args.max_decode_batch,
+            prefill=InstanceSpec(model, get_gpu(flags["prefill_gpu"]), per_instance),
+            n_prefill=flags["n_prefill"],
+            decode=InstanceSpec(model, get_gpu(flags["decode_gpu"]), per_instance),
+            n_decode=flags["n_decode"],
+            max_prefill_batch=flags["max_prefill_batch"],
+            max_decode_batch=flags["max_decode_batch"],
         )
-        simulator_cls = ServingSimulator
     else:
         deployment = ColocatedPool(
-            instance=InstanceSpec(model, get_gpu(args.gpu), args.gpus_per_instance),
-            n_instances=args.n_instances,
-            max_decode_batch=args.max_decode_batch,
-            chunk_tokens=args.chunk_tokens,
+            instance=InstanceSpec(model, get_gpu(flags["gpu"]), per_instance),
+            n_instances=flags["n_instances"],
+            max_decode_batch=flags["max_decode_batch"],
+            chunk_tokens=flags["chunk_tokens"],
         )
-        simulator_cls = ColocatedSimulator
-    description = deployment.describe()
-    if args.shards > 1:
-        # Sharded execution factors the run into independent sub-engines —
-        # whole-cluster co-simulation (a shared fabric) cannot be split.
-        if args.topology != "none":
-            raise SimulationError("--shards cannot be combined with --topology")
-        report = run_sharded(
-            deployment,
-            trace,
-            config,
-            shards=args.shards,
-            policies=args.policy,
-            failure_model=failure_model,
-            failure_seed=args.failure_seed,
-            shard_policy=args.shard_policy,
-            workers=args.workers,
-        )
-        topology = None
-        simulator = None
-    else:
-        topology = _build_topology(
-            args.topology, args.cluster_gpus or deployment.total_gpus, args.group
-        )
-        simulator = simulator_cls(
-            deployment, config,
-            policies=args.policy, failure_model=failure_model, failure_seed=args.failure_seed,
-            topology=topology, placer=args.placer, network_model=args.network_model,
-        )
-        report = simulator.run(trace)
+    failure_model = None
+    if flags.get("mtbf_hours", 0.0) > 0:
+        mtbf, mttr = flags["mtbf_hours"] * HOUR, flags["mttr_hours"] * HOUR
+        failure_model = FailureModel(mtbf=mtbf, mttr=mttr)
+    segments = ()
+    if "segment" in flags:
+        segments = tuple((rate, flags["segment"]) for rate in flags["rates"])
+    return RunSpec(
+        deployment,
+        SimConfig(**_pick(flags, "max_sim_time", "context_bucket", "metrics", "backend")),
+        trace=TraceConfig(**_pick(flags, "rate", "duration", "output_tokens", "output_spread")),
+        segments=segments,
+        failure_model=failure_model,
+        **_pick(
+            flags, "seed", "policy", "failure_seed", "topology", "cluster_gpus", "group",
+            "placer", "network_model", "shards", "shard_policy",
+        ),
+    )
+
+
+def _cmd_simulate(args: argparse.Namespace) -> None:
+    spec = _run_spec(vars(args))
+    trace = spec.requests()
+    report = spec.run(trace, workers=args.workers)
     failure_note = (
         f"stochastic failures MTBF {args.mtbf_hours:g}h / MTTR {args.mttr_hours:g}h "
-        f"(seed {args.failure_seed})" if failure_model else "no failures"
+        f"(seed {args.failure_seed})" if spec.failure_model else "no failures"
     )
-    print(f"{description}")
+    print(spec.deployment.describe())
     print(f"policy '{args.policy}', trace {len(trace)} requests @ {args.rate:g}/s, {failure_note}")
-    if args.shards > 1:
+    if spec.shards > 1:
         print(
             f"sharded x{args.shards} ('{args.shard_policy}' shard routing, "
             f"{args.workers} worker(s), streaming metrics)"
         )
-    if topology is not None:
-        stats = placement_hop_stats(topology, simulator.placement)
+    if spec.topology != "none":
+        simulator = spec.simulator()  # a fresh one: the run's own is not kept
+        stats = placement_hop_stats(simulator.topology, simulator.placement)
         print(
-            f"topology {args.topology} x{topology.n_gpus}, placer '{args.placer}', "
+            f"topology {args.topology} x{simulator.topology.n_gpus}, placer '{args.placer}', "
             f"network model '{args.network_model}' "
             f"(intra-instance hops mean {stats['mean_hops']:.2f} max {stats['max_hops']:.0f})"
         )
@@ -314,107 +265,42 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     print(report.describe())
 
 
-def _sweep_point(
-    shape: str,
-    model_name: str,
-    prefill_gpu: str,
-    decode_gpu: str,
-    gpu: str,
-    gpus_per_instance: int,
-    n_prefill: int,
-    size: int,
-    max_prefill_batch: int,
-    max_decode_batch: int,
-    chunk_tokens: int,
-    policy: str,
-    max_sim_time: float,
-    context_bucket: int,
-    metrics: str,
-    topology_kind: str,
-    cluster_gpus: int,
-    group: int,
-    placer: str,
-    network_model: str,
-    backend: str,
-    trace_config: TraceConfig,
-    trace_seed: int,
-):
-    """Run one sweep point (module-level so worker processes can pickle it).
+def _point_flags(args: argparse.Namespace) -> Dict[str, Any]:
+    """The flags of a sweep or screen point's run: not the grid, not its execution."""
+    grid = _GRID_FLAGS + ("margin", "fn", "command")
+    return {name: value for name, value in vars(args).items() if name not in grid}
 
-    The trace regenerates from its config inside the worker — deterministic,
-    and far cheaper to ship than thousands of pickled Request objects.  The
-    topology/placement/backend arguments are part of the point tuple the
-    cache key hashes, so topology sweeps never collide with cached
-    non-network runs and fluid screens never alias event truth.
+
+def _grid_point(flags: Dict[str, Any], backend: str, rate: float, size: int):
+    """Run one sweep or screen point (module-level so workers can pickle it).
+
+    The point's :class:`RunSpec` is built inside the job: a point that does
+    not fit fails alone, an unset ``--cluster-gpus`` sizes the fabric from
+    this point's pools, and the trace regenerates from its recipe.
     """
-    trace = generate_trace(trace_config, seed=trace_seed)
-    model = get_model(model_name)
-    config = SimConfig(
-        max_sim_time=max_sim_time, context_bucket=context_bucket, metrics=metrics,
-        backend=backend,
-    )
-    if shape == "phase-split":
-        deployment = PhasePools(
-            prefill=InstanceSpec(model, get_gpu(prefill_gpu), gpus_per_instance),
-            n_prefill=n_prefill,
-            decode=InstanceSpec(model, get_gpu(decode_gpu), gpus_per_instance),
-            n_decode=size,
-            max_prefill_batch=max_prefill_batch,
-            max_decode_batch=max_decode_batch,
-        )
-        simulator_cls = ServingSimulator
-    else:
-        deployment = ColocatedPool(
-            instance=InstanceSpec(model, get_gpu(gpu), gpus_per_instance),
-            n_instances=size,
-            max_decode_batch=max_decode_batch,
-            chunk_tokens=chunk_tokens,
-        )
-        simulator_cls = ColocatedSimulator
-    topology = _build_topology(topology_kind, cluster_gpus or deployment.total_gpus, group)
-    simulator = simulator_cls(
-        deployment, config, policies=policy,
-        topology=topology, placer=placer, network_model=network_model,
-    )
-    return simulator.run(trace)
+    point = {**flags, "backend": backend, "rate": rate, "n_decode": size, "n_instances": size}
+    return _run_spec(point).run()
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
-    _check_topology_flags(args)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    trace_configs = {
-        rate: TraceConfig(
-            rate=rate,
-            duration=args.duration,
-            output_tokens=args.output_tokens,
-            output_spread=args.output_spread,
-        )
-        for rate in args.rates
-    }
-    # Fingerprint the actual requests (not just the config) so a change to
-    # trace *generation* invalidates cached points even within one version.
-    fingerprints = {
-        rate: trace_fingerprint(generate_trace(config, seed=args.seed))
-        for rate, config in trace_configs.items()
-    } if cache is not None else {}
+    flags = _point_flags(args)
     jobs = []
     for rate in args.rates:
-        for size in args.sizes:
-            point = (
-                args.shape, args.model, args.prefill_gpu, args.decode_gpu, args.gpu,
-                args.gpus_per_instance, args.n_prefill, size,
-                args.max_prefill_batch, args.max_decode_batch, args.chunk_tokens,
-                args.policy, args.max_sim_time, args.context_bucket, args.metrics,
-                args.topology, args.cluster_gpus, args.group,
-                args.placer, args.network_model, args.backend,
+        fingerprint = None
+        if cache is not None:
+            # Fingerprint the actual requests (not just the config) so a change
+            # to trace *generation* invalidates cached points within one version.
+            config = TraceConfig(
+                rate=rate, **_pick(flags, "duration", "output_tokens", "output_spread")
             )
-            key = None
-            if cache is not None:
-                key = cache.key("cli-sweep", point, fingerprints[rate])
+            fingerprint = trace_fingerprint(generate_trace(config, seed=args.seed))
+        for size in args.sizes:
+            key = None if cache is None else cache.key("cli-sweep", flags, rate, size, fingerprint)
             jobs.append(
                 Job(
-                    fn=_sweep_point,
-                    args=point + (trace_configs[rate], args.seed),
+                    fn=_grid_point,
+                    args=(flags, args.backend, rate, size),
                     key=key,
                     label=f"rate={rate:g} size={size}",
                 )
@@ -455,69 +341,9 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         print("cache: disabled")
 
 
-def _screen_point(
-    backend: str,
-    rate: float,
-    size: int,
-    *,
-    shape: str,
-    model_name: str,
-    prefill_gpu: str,
-    decode_gpu: str,
-    gpu: str,
-    gpus_per_instance: int,
-    n_prefill: int,
-    max_prefill_batch: int,
-    max_decode_batch: int,
-    chunk_tokens: int,
-    policy: str,
-    max_sim_time: float,
-    duration: float,
-    output_tokens: int,
-    output_spread: float,
-    trace_seed: int,
-):
-    """Evaluate one screen grid point under the given backend.
-
-    Module-level with keyword-bound fixed configuration (via
-    ``functools.partial``) so it pickles to workers and the backend lands
-    in the result-cache key.
-    """
-    trace_config = TraceConfig(
-        rate=rate, duration=duration,
-        output_tokens=output_tokens, output_spread=output_spread,
-    )
-    return _sweep_point(
-        shape, model_name, prefill_gpu, decode_gpu, gpu,
-        gpus_per_instance, n_prefill, size,
-        max_prefill_batch, max_decode_batch, chunk_tokens,
-        policy, max_sim_time, 1, "exact",
-        "none", 0, 4, "packed", "none", backend,
-        trace_config, trace_seed,
-    )
-
-
 def _cmd_screen(args: argparse.Namespace) -> None:
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    fn = functools.partial(
-        _screen_point,
-        shape=args.shape,
-        model_name=args.model,
-        prefill_gpu=args.prefill_gpu,
-        decode_gpu=args.decode_gpu,
-        gpu=args.gpu,
-        gpus_per_instance=args.gpus_per_instance,
-        n_prefill=args.n_prefill,
-        max_prefill_batch=args.max_prefill_batch,
-        max_decode_batch=args.max_decode_batch,
-        chunk_tokens=args.chunk_tokens,
-        policy=args.policy,
-        max_sim_time=args.max_sim_time,
-        duration=args.duration,
-        output_tokens=args.output_tokens,
-        output_spread=args.output_spread,
-        trace_seed=args.seed,
-    )
+    fn = functools.partial(_grid_point, _point_flags(args))
     points = [{"rate": rate, "size": size} for rate in args.rates for size in args.sizes]
 
     def cost(record):
@@ -587,33 +413,18 @@ def _build_controller(name: str, args: argparse.Namespace, deployment):
 def _cmd_autoscale(args: argparse.Namespace) -> None:
     if len(args.rates) < 2:
         raise SimulationError("--rates needs at least two segments to be bursty")
-    model = get_model(args.model)
-    base = TraceConfig(output_tokens=args.output_tokens, output_spread=args.output_spread)
-    trace = generate_piecewise_trace(
-        [(rate, args.segment) for rate in args.rates], base, seed=args.seed
-    )
-    deployment = PhasePools(
-        prefill=InstanceSpec(model, get_gpu(args.prefill_gpu), args.gpus_per_instance),
-        n_prefill=args.n_prefill,
-        decode=InstanceSpec(model, get_gpu(args.decode_gpu), args.gpus_per_instance),
-        n_decode=args.n_decode,
-        max_prefill_batch=args.max_prefill_batch,
-        max_decode_batch=args.max_decode_batch,
-    )
-    config = SimConfig(max_sim_time=args.max_sim_time)
+    spec = _run_spec(vars(args))
+    trace = spec.requests()
     print(
-        f"{deployment.describe()}\n"
+        f"{spec.deployment.describe()}\n"
         f"bursty trace: {len(trace)} requests, rates "
         f"{'/'.join(f'{r:g}' for r in args.rates)} req/s x {args.segment:g}s segments"
     )
     reports = {}
     records = []
     for name in args.controllers:
-        controller = _build_controller(name, args, deployment)
-        simulator = ServingSimulator(
-            deployment, config, policies=args.policy, controller=controller
-        )
-        report = simulator.run(trace)
+        controller = _build_controller(name, args, spec.deployment)
+        report = replace(spec, controller=controller).run(trace)
         label = name
         if report.spawned_instances or report.retired_instances:
             label += f" (+{report.spawned_instances}/-{report.retired_instances})"
@@ -730,19 +541,99 @@ def _cmd_cache(args: argparse.Namespace) -> None:
     )
 
 
-def _add_topology_args(parser: argparse.ArgumentParser) -> None:
-    """The shared topology co-simulation flags (simulate + sweep)."""
-    parser.add_argument("--topology", default="none",
-                        choices=("none", "direct", "switched", "circuit"),
-                        help="co-simulate a network fabric (none = legacy behaviour)")
-    parser.add_argument("--cluster-gpus", type=int, default=0,
-                        help="fabric endpoint count (0 = deployment total)")
-    parser.add_argument("--group", type=int, default=4,
-                        help="direct-connect Lite-group size")
-    parser.add_argument("--placer", default="packed", choices=sorted(PLACERS),
-                        help="instance-to-GPU placement strategy")
-    parser.add_argument("--network-model", default="none", choices=("none", "fabric"),
-                        help="service-time network model (fabric = placed collectives)")
+#: Every flag of the run subcommands, defined once: ``--name-with-dashes``
+#: maps to these ``add_argument`` options.  A subcommand picks its flags
+#: with :func:`_add_flags` and re-defaults some through ``set_defaults``.
+_FLAGS: Dict[str, Dict[str, Any]] = {
+    # deployment
+    "shape": dict(choices=("phase-split", "colocated"), default="colocated"),
+    "model": dict(default="Llama3-8B"),
+    "prefill_gpu": dict(default="Lite+NetBW+FLOPS", help="prefill pool GPU (phase-split)"),
+    "decode_gpu": dict(default="Lite+MemBW", help="decode pool GPU (phase-split)"),
+    "gpu": dict(default="H100", help="GPU type (the colocated pool's)"),
+    "gpus_per_instance": dict(type=int, default=1),
+    "n_prefill": dict(type=int, default=2, help="prefill pool size (phase-split)"),
+    "n_decode": dict(type=int, default=2, help="decode pool size (phase-split)"),
+    "n_instances": dict(type=int, default=4, help="pool size (colocated)"),
+    "max_prefill_batch": dict(type=int, default=4),
+    "max_decode_batch": dict(type=int, default=64),
+    "chunk_tokens": dict(type=int, default=512, help="prefill chunk per mixed iteration"),
+    "policy": dict(default="fcfs", choices=POLICY_BUNDLES.names(), help="scheduling policy bundle"),
+    # trace
+    "rate": dict(type=float, default=6.0, help="arrival rate (req/s)"),
+    "rates": dict(type=_csv_floats, default=[2.0, 4.0],
+                  help="comma-separated arrival rates (req/s): a grid axis, or "
+                       "autoscale's per-segment rates"),
+    "sizes": dict(type=_csv_ints, default=[1, 2],
+                  help="comma-separated pool sizes (decode/colocated instances), "
+                       "the other grid axis"),
+    "segment": dict(type=float, default=60.0, help="segment duration (s)"),
+    "duration": dict(type=float, default=20.0, help="trace length (s)"),
+    "output_tokens": dict(type=int, default=100),
+    "output_spread": dict(type=float, default=0.5),
+    "seed": dict(type=int, default=0, help="trace RNG seed"),
+    # engine and execution
+    "max_sim_time": dict(type=float, default=600.0),
+    "context_bucket": dict(type=int, default=1, help="service-time cache granularity (1 = exact)"),
+    "backend": dict(default="event", choices=("event", "fluid"),
+                    help="event = discrete-event truth; fluid = millisecond "
+                         "analytic ODE estimate"),
+    "metrics": dict(default="exact", choices=("exact", "streaming"),
+                    help="exact per-request metrics, or constant-memory sketches"),
+    "shards": dict(type=int, default=1,
+                   help="split the run into N independent engine shards (>1 "
+                        "implies streaming metrics; excludes --topology)"),
+    "shard_policy": dict(default="least-loaded", choices=sorted(ROUTING_POLICIES.names()),
+                         help="routing policy assigning requests to shards"),
+    "workers": dict(type=int, default=1, help="worker processes (1 = in-process)"),
+    # failures
+    "mtbf_hours": dict(type=float, default=0.0, help="per-GPU MTBF of sampled failures (0 = off)"),
+    "mttr_hours": dict(type=float, default=0.25),
+    "failure_seed": dict(type=int, default=0),
+    # topology co-simulation
+    "topology": dict(default="none", choices=TOPOLOGIES, help="co-simulate a network fabric"),
+    "cluster_gpus": dict(type=int, default=0, help="fabric endpoint count (0 = deployment total)"),
+    "group": dict(type=int, default=4, help="direct-connect Lite-group size"),
+    "placer": dict(default="packed", choices=sorted(PLACERS), help="instance-to-GPU placement"),
+    "network_model": dict(default="none", choices=NETWORK_MODELS,
+                          help="service-time network model (fabric = placed collectives)"),
+    # result cache and screening
+    "cache_dir": dict(default=".repro_cache", help="result-cache directory"),
+    "no_cache": dict(action="store_true", help="disable the on-disk result cache"),
+    "margin": dict(type=float, default=0.10, help="safety margin widening the fluid Pareto front"),
+    # autoscale controllers
+    "controllers": dict(type=lambda text: [p for p in text.split(",") if p],
+                        default=["static", "reactive", "slo"],
+                        help="comma-separated controller names to compare"),
+    "epoch": dict(type=float, default=5.0, help="controller stepping period (s)"),
+    "warmup": dict(type=float, default=15.0, help="instance spawn warm-up delay (s)"),
+    "min_instances": dict(type=int, default=1),
+    "max_instances": dict(type=int, default=8),
+    "queue_high": dict(type=float, default=2.0, help="reactive scale-up queue per instance"),
+    "slo_ttft": dict(type=float, default=1.0, help="P99 TTFT SLO (s): slo controller + verdict"),
+    "slo_tbt": dict(type=float, default=0.05, help="P99 TBT target (s) for the slo controller"),
+    "cap": dict(default=None, help="power_cap window as start:end:watts"),
+}
+
+# Flag groups the run subcommands share.
+_POOL_FLAGS = (
+    "model", "prefill_gpu", "decode_gpu", "gpus_per_instance", "n_prefill",
+    "max_prefill_batch", "max_decode_batch", "policy",
+    "output_tokens", "output_spread", "seed", "max_sim_time",
+)
+_SHAPE_FLAGS = ("shape", "gpu", "chunk_tokens", "duration")
+_ENGINE_FLAGS = (
+    "context_bucket", "metrics", "backend",
+    "topology", "cluster_gpus", "group", "placer", "network_model",
+)
+_GRID_FLAGS = ("rates", "sizes", "workers", "cache_dir", "no_cache")
+
+
+def _add_flags(parser: argparse.ArgumentParser, names, **defaults) -> None:
+    """Add the named :data:`_FLAGS` to ``parser``, re-defaulting some."""
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"), **_FLAGS[name])
+    parser.set_defaults(**defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -759,191 +650,60 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("report", help="full experiment report").set_defaults(fn=_cmd_report)
 
     search = sub.add_parser("search", help="run the Section 4 configuration search")
-    search.add_argument("--model", default="Llama3-70B")
-    search.add_argument("--gpu", default="Lite+MemBW")
+    _add_flags(search, ("model", "gpu"), model="Llama3-70B", gpu="Lite+MemBW", fn=_cmd_search)
     search.add_argument("--phase", choices=("prefill", "decode"), default="decode")
     search.add_argument("--verbose", action="store_true")
-    search.set_defaults(fn=_cmd_search)
 
     tco = sub.add_parser("tco", help="decode unit economics vs H100")
-    tco.add_argument("--model", default="Llama3-70B")
-    tco.add_argument("--gpu", default="Lite+MemBW")
-    tco.set_defaults(fn=_cmd_tco)
+    _add_flags(tco, ("model", "gpu"), model="Llama3-70B", gpu="Lite+MemBW", fn=_cmd_tco)
 
     simulate = sub.add_parser("simulate", help="run the discrete-event serving simulator")
-    simulate.add_argument("--shape", choices=("phase-split", "colocated"), default="phase-split")
-    simulate.add_argument("--model", default="Llama3-70B")
-    simulate.add_argument("--prefill-gpu", default="Lite+NetBW+FLOPS",
-                          help="prefill pool GPU (phase-split)")
-    simulate.add_argument("--decode-gpu", default="Lite+MemBW",
-                          help="decode pool GPU (phase-split)")
-    simulate.add_argument("--gpu", default="Lite+MemBW", help="pool GPU (colocated)")
-    simulate.add_argument("--gpus-per-instance", type=int, default=8)
-    simulate.add_argument("--n-prefill", type=int, default=2)
-    simulate.add_argument("--n-decode", type=int, default=2)
-    simulate.add_argument("--n-instances", type=int, default=4,
-                          help="pool size (colocated)")
-    simulate.add_argument("--max-prefill-batch", type=int, default=4)
-    simulate.add_argument("--max-decode-batch", type=int, default=256)
-    simulate.add_argument("--chunk-tokens", type=int, default=512,
-                          help="prefill chunk per mixed iteration (colocated)")
-    simulate.add_argument("--policy", default="fcfs", choices=POLICY_BUNDLES.names(),
-                          help="scheduling policy bundle")
-    simulate.add_argument("--rate", type=float, default=6.0, help="arrival rate (req/s)")
-    simulate.add_argument("--duration", type=float, default=40.0, help="trace length (s)")
-    simulate.add_argument("--output-tokens", type=int, default=150)
-    simulate.add_argument("--output-spread", type=float, default=0.5)
-    simulate.add_argument("--seed", type=int, default=0, help="trace RNG seed")
-    simulate.add_argument("--max-sim-time", type=float, default=600.0)
-    simulate.add_argument("--context-bucket", type=int, default=1,
-                          help="service-time cache granularity (1 = exact)")
-    simulate.add_argument("--backend", default="event", choices=("event", "fluid"),
-                          help="event = discrete-event truth; fluid = millisecond "
-                               "analytic ODE estimate")
-    simulate.add_argument("--metrics", default="exact", choices=("exact", "streaming"),
-                          help="exact per-request metrics, or constant-memory sketches")
-    simulate.add_argument("--shards", type=int, default=1,
-                          help="split the run into N independent engine shards (>1 "
-                               "implies streaming metrics; excludes --topology)")
-    simulate.add_argument("--shard-policy", default="least-loaded",
-                          choices=sorted(ROUTING_POLICIES.names()),
-                          help="routing policy assigning requests to shards")
-    simulate.add_argument("--workers", type=int, default=1,
-                          help="process pool width for sharded runs")
-    simulate.add_argument("--mtbf-hours", type=float, default=0.0,
-                          help="per-GPU MTBF for stochastic failures (0 = off)")
-    simulate.add_argument("--mttr-hours", type=float, default=0.25)
-    simulate.add_argument("--failure-seed", type=int, default=0)
-    _add_topology_args(simulate)
-    simulate.set_defaults(fn=_cmd_simulate)
+    _add_flags(
+        simulate,
+        _POOL_FLAGS + _SHAPE_FLAGS + _ENGINE_FLAGS + (
+            "n_decode", "n_instances", "rate", "shards", "shard_policy", "workers",
+            "mtbf_hours", "mttr_hours", "failure_seed",
+        ),
+        shape="phase-split", model="Llama3-70B", gpu="Lite+MemBW", gpus_per_instance=8,
+        max_decode_batch=256, duration=40.0, output_tokens=150, fn=_cmd_simulate,
+    )
 
     topology = sub.add_parser(
         "topology", help="compare the three fabric options at a given scale"
     )
     topology.add_argument("--gpus", type=int, default=64, help="cluster GPU count")
-    topology.add_argument("--group", type=int, default=4,
-                          help="direct-connect Lite-group size")
+    _add_flags(topology, ("group",), fn=_cmd_topology)
     topology.add_argument("--utilization", type=float, default=0.5,
                           help="average traffic level for the power rollup")
-    topology.set_defaults(fn=_cmd_topology)
 
     sweep = sub.add_parser(
         "sweep",
         help="sweep a simulation grid in parallel with on-disk result caching",
     )
-    sweep.add_argument("--shape", choices=("phase-split", "colocated"), default="colocated")
-    sweep.add_argument("--model", default="Llama3-8B")
-    sweep.add_argument("--prefill-gpu", default="Lite+NetBW+FLOPS")
-    sweep.add_argument("--decode-gpu", default="Lite+MemBW")
-    sweep.add_argument("--gpu", default="H100", help="pool GPU (colocated)")
-    sweep.add_argument("--gpus-per-instance", type=int, default=1)
-    sweep.add_argument("--n-prefill", type=int, default=2,
-                       help="prefill pool size (phase-split; fixed across the grid)")
-    sweep.add_argument("--rates", type=_csv_floats, default=[2.0, 4.0],
-                       help="comma-separated arrival rates (req/s), one grid axis")
-    sweep.add_argument("--sizes", type=_csv_ints, default=[1, 2],
-                       help="comma-separated pool sizes (decode/colocated instances), "
-                            "the other grid axis")
-    sweep.add_argument("--max-prefill-batch", type=int, default=4)
-    sweep.add_argument("--max-decode-batch", type=int, default=64)
-    sweep.add_argument("--chunk-tokens", type=int, default=512)
-    sweep.add_argument("--policy", default="fcfs", choices=POLICY_BUNDLES.names())
-    sweep.add_argument("--duration", type=float, default=20.0, help="trace length (s)")
-    sweep.add_argument("--output-tokens", type=int, default=100)
-    sweep.add_argument("--output-spread", type=float, default=0.5)
-    sweep.add_argument("--seed", type=int, default=0, help="trace RNG seed")
-    sweep.add_argument("--max-sim-time", type=float, default=600.0)
-    sweep.add_argument("--context-bucket", type=int, default=1)
-    sweep.add_argument("--metrics", default="exact", choices=("exact", "streaming"),
-                       help="exact per-request metrics, or constant-memory sketches")
-    sweep.add_argument("--backend", default="event", choices=("event", "fluid"),
-                       help="simulate every point with the event engine (default) "
-                            "or the fluid analytic estimate")
-    _add_topology_args(sweep)
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="worker processes (1 = in-process)")
-    sweep.add_argument("--cache-dir", default=".repro_cache",
-                       help="result-cache directory")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="disable the on-disk result cache")
-    sweep.set_defaults(fn=_cmd_sweep)
+    _add_flags(sweep, _POOL_FLAGS + _SHAPE_FLAGS + _ENGINE_FLAGS + _GRID_FLAGS, fn=_cmd_sweep)
 
     screen = sub.add_parser(
         "screen",
         help="two-tier sweep: fluid-screen the grid, event-simulate survivors",
     )
-    screen.add_argument("--shape", choices=("phase-split", "colocated"), default="colocated")
-    screen.add_argument("--model", default="Llama3-8B")
-    screen.add_argument("--prefill-gpu", default="Lite+NetBW+FLOPS")
-    screen.add_argument("--decode-gpu", default="Lite+MemBW")
-    screen.add_argument("--gpu", default="H100", help="pool GPU (colocated)")
-    screen.add_argument("--gpus-per-instance", type=int, default=1)
-    screen.add_argument("--n-prefill", type=int, default=2,
-                        help="prefill pool size (phase-split; fixed across the grid)")
-    screen.add_argument("--rates", type=_csv_floats, default=[2.0, 4.0, 6.0],
-                        help="comma-separated arrival rates (req/s), one grid axis")
-    screen.add_argument("--sizes", type=_csv_ints, default=[1, 2, 4],
-                        help="comma-separated pool sizes, the other grid axis")
-    screen.add_argument("--max-prefill-batch", type=int, default=4)
-    screen.add_argument("--max-decode-batch", type=int, default=64)
-    screen.add_argument("--chunk-tokens", type=int, default=512)
-    screen.add_argument("--policy", default="fcfs", choices=POLICY_BUNDLES.names())
-    screen.add_argument("--duration", type=float, default=20.0, help="trace length (s)")
-    screen.add_argument("--output-tokens", type=int, default=100)
-    screen.add_argument("--output-spread", type=float, default=0.5)
-    screen.add_argument("--seed", type=int, default=0, help="trace RNG seed")
-    screen.add_argument("--max-sim-time", type=float, default=600.0)
-    screen.add_argument("--margin", type=float, default=0.10,
-                        help="relative safety margin widening the fluid Pareto front")
-    screen.add_argument("--workers", type=int, default=1,
-                        help="worker processes (1 = in-process)")
-    screen.add_argument("--cache-dir", default=".repro_cache",
-                        help="result-cache directory")
-    screen.add_argument("--no-cache", action="store_true",
-                        help="disable the on-disk result cache")
-    screen.set_defaults(fn=_cmd_screen)
+    _add_flags(
+        screen, _POOL_FLAGS + _SHAPE_FLAGS + _GRID_FLAGS + ("margin",),
+        rates=[2.0, 4.0, 6.0], sizes=[1, 2, 4], fn=_cmd_screen,
+    )
 
     autoscale = sub.add_parser(
         "autoscale",
         help="compare cluster controllers on a bursty trace ($/Mtoken economics)",
     )
-    autoscale.add_argument("--model", default="Llama3-8B")
-    autoscale.add_argument("--prefill-gpu", default="H100")
-    autoscale.add_argument("--decode-gpu", default="H100")
-    autoscale.add_argument("--gpus-per-instance", type=int, default=1)
-    autoscale.add_argument("--n-prefill", type=int, default=2,
-                           help="peak-provisioned prefill pool size")
-    autoscale.add_argument("--n-decode", type=int, default=6,
-                           help="peak-provisioned decode pool size")
-    autoscale.add_argument("--max-prefill-batch", type=int, default=4)
-    autoscale.add_argument("--max-decode-batch", type=int, default=32)
-    autoscale.add_argument("--policy", default="fcfs", choices=POLICY_BUNDLES.names())
-    autoscale.add_argument("--controllers", type=lambda t: [p for p in t.split(",") if p],
-                           default=["static", "reactive", "slo"],
-                           help="comma-separated controller names to compare")
-    autoscale.add_argument("--rates", type=_csv_floats, default=[1.0, 8.0, 1.0],
-                           help="per-segment arrival rates (req/s) of the bursty trace")
-    autoscale.add_argument("--segment", type=float, default=60.0,
-                           help="segment duration (s)")
-    autoscale.add_argument("--output-tokens", type=int, default=100)
-    autoscale.add_argument("--output-spread", type=float, default=0.5)
-    autoscale.add_argument("--seed", type=int, default=0, help="trace RNG seed")
-    autoscale.add_argument("--max-sim-time", type=float, default=1800.0)
-    autoscale.add_argument("--epoch", type=float, default=5.0,
-                           help="controller stepping period (s)")
-    autoscale.add_argument("--warmup", type=float, default=15.0,
-                           help="instance spawn warm-up delay (s)")
-    autoscale.add_argument("--min-instances", type=int, default=1)
-    autoscale.add_argument("--max-instances", type=int, default=8)
-    autoscale.add_argument("--queue-high", type=float, default=2.0,
-                           help="reactive scale-up threshold (queued per instance)")
-    autoscale.add_argument("--slo-ttft", type=float, default=1.0,
-                           help="P99 TTFT SLO (s) for the slo controller + verdict")
-    autoscale.add_argument("--slo-tbt", type=float, default=0.05,
-                           help="P99 TBT target (s) for the slo controller")
-    autoscale.add_argument("--cap", default=None,
-                           help="power_cap window as start:end:watts")
-    autoscale.set_defaults(fn=_cmd_autoscale)
+    _add_flags(
+        autoscale,
+        _POOL_FLAGS + (
+            "n_decode", "rates", "segment", "controllers", "epoch", "warmup",
+            "min_instances", "max_instances", "queue_high", "slo_ttft", "slo_tbt", "cap",
+        ),
+        prefill_gpu="H100", decode_gpu="H100", n_decode=6, max_decode_batch=32,
+        rates=[1.0, 8.0, 1.0], max_sim_time=1800.0, fn=_cmd_autoscale,
+    )
 
     chaos = sub.add_parser(
         "chaos",
@@ -952,18 +712,13 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--scenario", default="all",
                        choices=("all", "blast", "checkpoint", "storm"),
                        help="which canned chaos scenario(s) to run")
-    chaos.add_argument("--metrics", default="exact",
-                       choices=("exact", "streaming"),
-                       help="exact per-request metrics, or constant-memory sketches")
-    chaos.set_defaults(fn=_cmd_chaos)
+    _add_flags(chaos, ("metrics",), fn=_cmd_chaos)
 
     cache_cmd = sub.add_parser(
         "cache", help="inspect or clear the on-disk result cache"
     )
     cache_cmd.add_argument("action", choices=("stats", "clear"))
-    cache_cmd.add_argument("--cache-dir", default=".repro_cache",
-                           help="result-cache directory")
-    cache_cmd.set_defaults(fn=_cmd_cache)
+    _add_flags(cache_cmd, ("cache_dir",), fn=_cmd_cache)
     return parser
 
 

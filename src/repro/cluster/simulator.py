@@ -72,6 +72,8 @@ __all__ = [
     "ServingSimulator",
     "ColocatedSimulator",
     "NETWORK_MODELS",
+    "check_composition",
+    "simulator_for",
 ]
 
 #: Service-time network models: "none" keeps the placement-blind roofline
@@ -104,33 +106,6 @@ def _resolve_placement(
                     )
         return placer
     return place(topology, shapes, placer=placer)
-
-
-def _network_setup(
-    topology: Optional[Topology],
-    placer: "str | Placement",
-    network_model: str,
-    shapes: Sequence[PoolShape],
-    component_failures: Sequence[ComponentFailure],
-    component_model: Optional[ComponentFailureModel],
-) -> Optional[Placement]:
-    """Validate the co-simulation knobs and resolve the placement (if any)."""
-    if network_model not in NETWORK_MODELS:
-        raise SpecError(f"network_model must be one of {'/'.join(NETWORK_MODELS)}")
-    needs_topology = (
-        network_model != "none"
-        or component_model is not None
-        or bool(component_failures)
-        or isinstance(placer, Placement)
-    )
-    if topology is None:
-        if needs_topology:
-            raise SpecError(
-                "a topology is required for network_model != 'none', "
-                "component failures, or an explicit Placement"
-            )
-        return None
-    return _resolve_placement(topology, placer, shapes)
 
 
 def _make_provider(
@@ -453,32 +428,72 @@ def _failure_limit(
     return initial
 
 
-def _check_fluid_composition(
+def check_composition(
     config: SimConfig,
-    failures: Sequence,
-    failure_model,
-    component_failures: Sequence,
-    component_model,
-    controller: Optional[ClusterController],
+    *,
+    shards: int = 1,
+    sharded: bool = False,
+    topology: bool = False,
+    placer: "str | Placement" = "packed",
+    cluster_gpus: int = 0,
+    network_model: str = "none",
+    controller: Optional[ClusterController] = None,
+    failure_model: Optional[FailureModel] = None,
+    failures: Sequence = (),
+    component_failures: Sequence = (),
+    component_model: Optional[ComponentFailureModel] = None,
 ) -> None:
-    """Reject fluid-backend compositions the analytic model cannot honour.
+    """Reject run inputs that do not compose: every rule spanning two inputs.
 
-    Fluid has no notion of an instance losing its KV state mid-flight or of
-    a controller resizing pools between epochs; raising here (at simulator
-    construction) beats silently returning optimistic estimates.
+    :class:`~repro.exec.runspec.RunSpec`, both simulators and
+    :func:`~repro.exec.sharding.run_sharded` call it with the inputs each
+    takes.  ``shards > 1`` (or ``sharded``) makes the run sharded, and
+    ``topology`` says whether it co-simulates a fabric.  Fluid has no
+    instance that loses its KV state and no controller resizing pools, and
+    each shard runs its own engine, which cannot share a fabric or a
+    controller with the others.
     """
-    if config.backend != "fluid":
+    if shards < 1:
+        raise SpecError("shards must be at least 1 (--shards)")
+    sharded = sharded or shards > 1
+    if network_model not in NETWORK_MODELS:
+        raise SpecError(f"network_model must be one of {'/'.join(NETWORK_MODELS)}")
+    elastic = controller is not None and controller.epoch > 0
+    if config.backend == "fluid":
+        if sharded:
+            raise SpecError("backend='fluid' cannot be combined with --shards (use 'event')")
+        sampled = failure_model is not None or component_model is not None
+        if failures or component_failures or sampled:
+            raise SpecError(
+                "backend='fluid' cannot model failures (scripted, sampled, or "
+                "component-level); use the event backend for chaos/failure runs"
+            )
+        if elastic:
+            raise SpecError(
+                "backend='fluid' cannot model elastic controllers; "
+                "use the event backend or controller=None"
+            )
+    if sharded:
+        if topology:
+            raise SpecError("--shards cannot be combined with --topology")
+        if network_model != "none":
+            raise SpecError("--shards cannot be combined with --network-model fabric")
+        if elastic:
+            raise SpecError("--shards cannot be combined with an elastic controller")
+    if topology:
         return
-    if failures or failure_model is not None or component_failures or component_model is not None:
+    if (
+        network_model != "none"
+        or component_model is not None
+        or component_failures
+        or isinstance(placer, Placement)
+    ):
         raise SpecError(
-            "backend='fluid' cannot model failures (scripted, sampled, or "
-            "component-level); use the event backend for chaos/failure runs"
+            "a topology is required for network_model != 'none', "
+            "component failures, or an explicit Placement"
         )
-    if controller is not None and controller.epoch > 0:
-        raise SpecError(
-            "backend='fluid' cannot model elastic controllers; "
-            "use the event backend or controller=None"
-        )
+    if placer != "packed" or cluster_gpus:
+        raise SpecError("placer/cluster_gpus have no effect without --topology")
 
 
 def _validate_failures(
@@ -536,9 +551,11 @@ class _Simulator:
         self.topology = topology
         self.network_model = network_model
         self.controller = get_controller(controller)
-        _check_fluid_composition(
-            self.config, failures, failure_model,
-            component_failures, component_model, self.controller,
+        check_composition(
+            self.config, topology=topology is not None, placer=placer,
+            network_model=network_model, controller=self.controller,
+            failure_model=failure_model, failures=failures,
+            component_failures=component_failures, component_model=component_model,
         )
         self.economics = economics or EconomicsConfig()
         self.last_economics: Optional[EconomicsReport] = None
@@ -548,10 +565,7 @@ class _Simulator:
         shapes, self._spawn_limits = _elastic_shapes(
             deployment.pool_shapes(), self.controller, topology, placer
         )
-        self.placement = _network_setup(
-            topology, placer, network_model, shapes,
-            component_failures, component_model,
-        )
+        self.placement = None if topology is None else _resolve_placement(topology, placer, shapes)
         all_failures = list(failures)
         horizon = self.config.max_sim_time
         if failure_model is not None:
@@ -724,3 +738,14 @@ class ColocatedSimulator(_Simulator):
         from .fluid import fluid_colocated_report
 
         return self._run(trace, ColocatedEngine, fluid_colocated_report)
+
+
+_SIMULATORS = {PhasePools: ServingSimulator, ColocatedPool: ColocatedSimulator}
+
+
+def simulator_for(deployment: "PhasePools | ColocatedPool") -> type:
+    """The simulator class that runs a deployment shape."""
+    try:
+        return _SIMULATORS[type(deployment)]
+    except KeyError:
+        raise SpecError("deployment must be a PhasePools or ColocatedPool") from None

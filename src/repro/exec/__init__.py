@@ -16,10 +16,15 @@ recompute a point whose inputs haven't changed.
   (imported lazily to keep the light modules import-cycle-free);
 - :mod:`repro.exec.sharding` — :func:`run_sharded`, split one big run
   into per-shard engine runs whose streaming metrics merge into one
-  report (also lazy: it pulls in the cluster stack).
+  report (also lazy: it pulls in the cluster stack);
+- :mod:`repro.exec.runspec` — :class:`RunSpec`, one frozen description of
+  a run whose ``run()`` is the entry for unsharded, sharded and fluid runs
+  (lazy too).
 """
 
 from __future__ import annotations
+
+import importlib
 
 from .cache import MISS, ResultCache
 from .runner import Job, JobOutcome, run_many
@@ -41,21 +46,24 @@ __all__ = [
     "shard_requests",
     "shard_deployment",
     "merge_shard_results",
+    "RunSpec",
 ]
 
-_ENSEMBLE_EXPORTS = ("EnsembleReport", "SimulationEnsemble", "run_replica", "aggregate_reports")
-_SHARDING_EXPORTS = ("run_sharded", "shard_requests", "shard_deployment", "merge_shard_results")
+# Lazy: repro.exec.ensemble/sharding/runspec pull in the whole
+# cluster/simulator stack, which must not load just because core.search
+# imported the runner.
+_LAZY_EXPORTS = {
+    **dict.fromkeys(
+        ("EnsembleReport", "SimulationEnsemble", "run_replica", "aggregate_reports"), "ensemble"
+    ),
+    **dict.fromkeys(
+        ("run_sharded", "shard_requests", "shard_deployment", "merge_shard_results"), "sharding"
+    ),
+    "RunSpec": "runspec",
+}
 
 
 def __getattr__(name: str):
-    # Lazy: repro.exec.ensemble/sharding pull in the whole cluster/simulator
-    # stack, which must not load just because core.search imported the runner.
-    if name in _ENSEMBLE_EXPORTS:
-        from . import ensemble
-
-        return getattr(ensemble, name)
-    if name in _SHARDING_EXPORTS:
-        from . import sharding
-
-        return getattr(sharding, name)
+    if name in _LAZY_EXPORTS:
+        return getattr(importlib.import_module(f".{_LAZY_EXPORTS[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from ..cluster.failures import FailureModel
 from ..cluster.policies import PolicyBundle
 from ..cluster.scheduler import ColocatedPool, PhasePools
-from ..cluster.simulator import ColocatedSimulator, ServingSimulator, SimConfig, SimReport
+from ..cluster.simulator import SimConfig, SimReport, simulator_for
 from ..errors import SimulationError, SpecError
 from ..workloads.traces import Request, trace_fingerprint
 from .cache import ResultCache
@@ -49,16 +49,10 @@ def run_replica(
     trace: Tuple[Request, ...],
 ) -> SimReport:
     """Run one failure-seeded replica (module-level: picklable for workers)."""
-    if isinstance(deployment, PhasePools):
-        simulator = ServingSimulator(
-            deployment, config,
-            policies=policies, failure_model=failure_model, failure_seed=failure_seed,
-        )
-    else:
-        simulator = ColocatedSimulator(
-            deployment, config,
-            policies=policies, failure_model=failure_model, failure_seed=failure_seed,
-        )
+    simulator = simulator_for(deployment)(
+        deployment, config,
+        policies=policies, failure_model=failure_model, failure_seed=failure_seed,
+    )
     return simulator.run(list(trace))
 
 
@@ -159,8 +153,7 @@ class SimulationEnsemble:
         base_seed: int = 0,
         n_replicas: int = 8,
     ) -> None:
-        if not isinstance(deployment, (PhasePools, ColocatedPool)):
-            raise SpecError("deployment must be a PhasePools or ColocatedPool")
+        simulator_for(deployment)  # rejects anything but the two shapes
         if n_replicas < 1:
             raise SpecError("n_replicas must be at least 1")
         self.deployment = deployment

@@ -24,7 +24,10 @@ request can never spill from a hot shard to an idle instance in another
 shard.  With a balancing shard policy (the default token-weighted
 ``"least-loaded"``) the difference is small at scale; it is zero when the
 unsharded router is index-blind.  Topology/controller co-simulation is
-whole-cluster by nature and is not shardable — those knobs are rejected.
+whole-cluster by nature and is not shardable — those knobs are rejected
+(:func:`~repro.cluster.simulator.check_composition`), and so is the fluid
+backend, which is milliseconds per run already and whose per-shard
+profiles would lose the queue coupling.
 
 Memory: each shard engine runs with ``metrics="streaming"`` (constant
 memory), so the sharded path's footprint is the ``Request`` objects plus
@@ -98,6 +101,12 @@ def shard_requests(
     return shards
 
 
+def _split(count: int, n_shards: int) -> List[int]:
+    """``count`` instances divided as evenly as possible, earlier shards first."""
+    base, rem = divmod(count, n_shards)
+    return [base + (1 if i < rem else 0) for i in range(n_shards)]
+
+
 def shard_deployment(deployment: Any, n_shards: int) -> List[Any]:
     """Split a deployment's instances into ``n_shards`` sub-deployments.
 
@@ -109,11 +118,6 @@ def shard_deployment(deployment: Any, n_shards: int) -> List[Any]:
 
     if n_shards < 1:
         raise SpecError("n_shards must be at least 1")
-
-    def split(count: int) -> List[int]:
-        base, rem = divmod(count, n_shards)
-        return [base + (1 if i < rem else 0) for i in range(n_shards)]
-
     if isinstance(deployment, PhasePools):
         if n_shards > min(deployment.n_prefill, deployment.n_decode):
             raise SpecError(
@@ -123,24 +127,19 @@ def shard_deployment(deployment: Any, n_shards: int) -> List[Any]:
             )
         return [
             replace(deployment, n_prefill=p, n_decode=d)
-            for p, d in zip(split(deployment.n_prefill), split(deployment.n_decode))
+            for p, d in zip(
+                _split(deployment.n_prefill, n_shards), _split(deployment.n_decode, n_shards)
+            )
         ]
     if isinstance(deployment, ColocatedPool):
         if n_shards > deployment.n_instances:
             raise SpecError(
                 f"n_shards cannot exceed n_instances={deployment.n_instances}"
             )
-        return [replace(deployment, n_instances=n) for n in split(deployment.n_instances)]
+        return [
+            replace(deployment, n_instances=n) for n in _split(deployment.n_instances, n_shards)
+        ]
     raise SpecError("deployment must be a PhasePools or ColocatedPool")
-
-
-def _pool_weights(deployment: Any) -> Tuple[int, int]:
-    """(prefill, decode) instance counts — colocated pools count once each."""
-    from ..cluster.scheduler import ColocatedPool
-
-    if isinstance(deployment, ColocatedPool):
-        return deployment.n_instances, deployment.n_instances
-    return deployment.n_prefill, deployment.n_decode
 
 
 def _shard_scripted_failures(
@@ -153,16 +152,9 @@ def _shard_scripted_failures(
     that instance — a parity prerequisite: ``shards=N`` must hit the same
     hardware at the same times as ``shards=1``.
     """
-    from ..cluster.scheduler import ColocatedPool
-
-    def split(count: int) -> List[int]:
-        base, rem = divmod(count, n_shards)
-        return [base + (1 if i < rem else 0) for i in range(n_shards)]
-
-    if isinstance(deployment, ColocatedPool):
-        sizes = {"colocated": split(deployment.n_instances)}
-    else:
-        sizes = {"prefill": split(deployment.n_prefill), "decode": split(deployment.n_decode)}
+    sizes = {
+        shape.name: _split(shape.n_instances, n_shards) for shape in deployment.pool_shapes()
+    }
     out: List[List[Tuple[float, str, int, float]]] = [[] for _ in range(n_shards)]
     for time, pool, index, duration in failures:
         if pool not in sizes:
@@ -189,13 +181,9 @@ def _run_shard(
     failures: Sequence[Tuple[float, str, int, float]] = (),
 ) -> Dict[str, Any]:
     """Simulate one shard; module-level so worker processes can pickle it."""
-    from ..cluster.scheduler import ColocatedPool
-    from ..cluster.simulator import ColocatedSimulator, ServingSimulator
+    from ..cluster.simulator import simulator_for
 
-    sim_cls = (
-        ColocatedSimulator if isinstance(deployment, ColocatedPool) else ServingSimulator
-    )
-    sim = sim_cls(
+    sim = simulator_for(deployment)(
         deployment,
         config,
         policies=policies,
@@ -204,12 +192,13 @@ def _run_shard(
         failures=failures,
     )
     report = sim.run(list(trace))
-    prefill_n, decode_n = _pool_weights(deployment)
+    shapes = deployment.pool_shapes()
     return {
         "report": report,
         "metrics": sim.last_metrics,
-        "prefill_n": prefill_n,
-        "decode_n": decode_n,
+        # First and last pool: a colocated pool counts as both.
+        "prefill_n": shapes[0].n_instances,
+        "decode_n": shapes[-1].n_instances,
     }
 
 
@@ -351,16 +340,12 @@ def run_sharded(
     is consumed once.  Topology and controller knobs remain whole-cluster
     concerns and are not supported here — use the unsharded simulators.
     """
-    from ..cluster.simulator import SimConfig
+    from ..cluster.simulator import SimConfig, check_composition
 
-    if shards < 1:
-        raise SpecError("shards must be at least 1")
     config = config or SimConfig()
-    if config.backend != "event":
-        # The fluid backend is already milliseconds per run; sharding it
-        # would only distort the merge (per-shard profiles lose the queue
-        # coupling).  There is nothing to win — reject loudly.
-        raise SpecError("run_sharded requires backend='event' (fluid needs no sharding)")
+    check_composition(
+        config, shards=shards, sharded=True, failure_model=failure_model, failures=failures
+    )
     config = replace(config, metrics="streaming")
     sub_deployments = shard_deployment(deployment, shards)
     weights = [d.total_gpus for d in sub_deployments]

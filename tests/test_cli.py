@@ -2,9 +2,184 @@
 
 from __future__ import annotations
 
+import argparse
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Every subcommand's option strings and parsed defaults (without ``fn``).
+# The run subcommands share one flag table, so a flag cannot be added to,
+# dropped from or re-defaulted in one of them without this test noticing.
+PARSER_PIN = {
+    "table1": (
+        [],
+        {
+            "command": "table1",
+        },
+    ),
+    "fig1": (
+        [],
+        {
+            "command": "fig1",
+        },
+    ),
+    "fig2": (
+        [],
+        {
+            "command": "fig2",
+        },
+    ),
+    "fig3a": (
+        [],
+        {
+            "command": "fig3a",
+        },
+    ),
+    "fig3b": (
+        [],
+        {
+            "command": "fig3b",
+        },
+    ),
+    "report": (
+        [],
+        {
+            "command": "report",
+        },
+    ),
+    "search": (
+        [
+            "--gpu", "--model", "--phase", "--verbose",
+        ],
+        {
+            "command": "search", "gpu": "Lite+MemBW", "model": "Llama3-70B",
+            "phase": "decode", "verbose": False,
+        },
+    ),
+    "tco": (
+        [
+            "--gpu", "--model",
+        ],
+        {
+            "command": "tco", "gpu": "Lite+MemBW", "model": "Llama3-70B",
+        },
+    ),
+    "simulate": (
+        [
+            "--backend", "--chunk-tokens", "--cluster-gpus", "--context-bucket",
+            "--decode-gpu", "--duration", "--failure-seed", "--gpu", "--gpus-per-instance",
+            "--group", "--max-decode-batch", "--max-prefill-batch", "--max-sim-time",
+            "--metrics", "--model", "--mtbf-hours", "--mttr-hours", "--n-decode",
+            "--n-instances", "--n-prefill", "--network-model", "--output-spread",
+            "--output-tokens", "--placer", "--policy", "--prefill-gpu", "--rate", "--seed",
+            "--shape", "--shard-policy", "--shards", "--topology", "--workers",
+        ],
+        {
+            "backend": "event", "chunk_tokens": 512, "cluster_gpus": 0,
+            "command": "simulate", "context_bucket": 1, "decode_gpu": "Lite+MemBW",
+            "duration": 40.0, "failure_seed": 0, "gpu": "Lite+MemBW",
+            "gpus_per_instance": 8, "group": 4, "max_decode_batch": 256,
+            "max_prefill_batch": 4, "max_sim_time": 600.0, "metrics": "exact",
+            "model": "Llama3-70B", "mtbf_hours": 0.0, "mttr_hours": 0.25, "n_decode": 2,
+            "n_instances": 4, "n_prefill": 2, "network_model": "none",
+            "output_spread": 0.5, "output_tokens": 150, "placer": "packed",
+            "policy": "fcfs", "prefill_gpu": "Lite+NetBW+FLOPS", "rate": 6.0, "seed": 0,
+            "shape": "phase-split", "shard_policy": "least-loaded", "shards": 1,
+            "topology": "none", "workers": 1,
+        },
+    ),
+    "topology": (
+        [
+            "--gpus", "--group", "--utilization",
+        ],
+        {
+            "command": "topology", "gpus": 64, "group": 4, "utilization": 0.5,
+        },
+    ),
+    "sweep": (
+        [
+            "--backend", "--cache-dir", "--chunk-tokens", "--cluster-gpus",
+            "--context-bucket", "--decode-gpu", "--duration", "--gpu",
+            "--gpus-per-instance", "--group", "--max-decode-batch", "--max-prefill-batch",
+            "--max-sim-time", "--metrics", "--model", "--n-prefill", "--network-model",
+            "--no-cache", "--output-spread", "--output-tokens", "--placer", "--policy",
+            "--prefill-gpu", "--rates", "--seed", "--shape", "--sizes", "--topology",
+            "--workers",
+        ],
+        {
+            "backend": "event", "cache_dir": ".repro_cache", "chunk_tokens": 512,
+            "cluster_gpus": 0, "command": "sweep", "context_bucket": 1,
+            "decode_gpu": "Lite+MemBW", "duration": 20.0, "gpu": "H100",
+            "gpus_per_instance": 1, "group": 4, "max_decode_batch": 64,
+            "max_prefill_batch": 4, "max_sim_time": 600.0, "metrics": "exact",
+            "model": "Llama3-8B", "n_prefill": 2, "network_model": "none",
+            "no_cache": False, "output_spread": 0.5, "output_tokens": 100,
+            "placer": "packed", "policy": "fcfs", "prefill_gpu": "Lite+NetBW+FLOPS",
+            "rates": [2.0, 4.0], "seed": 0, "shape": "colocated", "sizes": [1, 2],
+            "topology": "none", "workers": 1,
+        },
+    ),
+    "screen": (
+        [
+            "--cache-dir", "--chunk-tokens", "--decode-gpu", "--duration", "--gpu",
+            "--gpus-per-instance", "--margin", "--max-decode-batch", "--max-prefill-batch",
+            "--max-sim-time", "--model", "--n-prefill", "--no-cache", "--output-spread",
+            "--output-tokens", "--policy", "--prefill-gpu", "--rates", "--seed", "--shape",
+            "--sizes", "--workers",
+        ],
+        {
+            "cache_dir": ".repro_cache", "chunk_tokens": 512, "command": "screen",
+            "decode_gpu": "Lite+MemBW", "duration": 20.0, "gpu": "H100",
+            "gpus_per_instance": 1, "margin": 0.1, "max_decode_batch": 64,
+            "max_prefill_batch": 4, "max_sim_time": 600.0, "model": "Llama3-8B",
+            "n_prefill": 2, "no_cache": False, "output_spread": 0.5, "output_tokens": 100,
+            "policy": "fcfs", "prefill_gpu": "Lite+NetBW+FLOPS", "rates": [2.0, 4.0, 6.0],
+            "seed": 0, "shape": "colocated", "sizes": [1, 2, 4], "workers": 1,
+        },
+    ),
+    "autoscale": (
+        [
+            "--cap", "--controllers", "--decode-gpu", "--epoch", "--gpus-per-instance",
+            "--max-decode-batch", "--max-instances", "--max-prefill-batch",
+            "--max-sim-time", "--min-instances", "--model", "--n-decode", "--n-prefill",
+            "--output-spread", "--output-tokens", "--policy", "--prefill-gpu",
+            "--queue-high", "--rates", "--seed", "--segment", "--slo-tbt", "--slo-ttft",
+            "--warmup",
+        ],
+        {
+            "cap": None, "command": "autoscale",
+            "controllers": ["static", "reactive", "slo"], "decode_gpu": "H100",
+            "epoch": 5.0, "gpus_per_instance": 1, "max_decode_batch": 32,
+            "max_instances": 8, "max_prefill_batch": 4, "max_sim_time": 1800.0,
+            "min_instances": 1, "model": "Llama3-8B", "n_decode": 6, "n_prefill": 2,
+            "output_spread": 0.5, "output_tokens": 100, "policy": "fcfs",
+            "prefill_gpu": "H100", "queue_high": 2.0, "rates": [1.0, 8.0, 1.0], "seed": 0,
+            "segment": 60.0, "slo_tbt": 0.05, "slo_ttft": 1.0, "warmup": 15.0,
+        },
+    ),
+    "chaos": (
+        [
+            "--metrics", "--scenario",
+        ],
+        {
+            "command": "chaos", "metrics": "exact", "scenario": "all",
+        },
+    ),
+    "cache": (
+        [
+            "--cache-dir",
+        ],
+        {
+            "action": "stats", "cache_dir": ".repro_cache", "command": "cache",
+        },
+    ),
+}
 
 
 class TestParser:
@@ -16,11 +191,28 @@ class TestParser:
         parser = build_parser()
         for command in ("table1", "fig1", "fig2", "fig3a", "fig3b", "report",
                         "search", "tco", "simulate", "sweep", "screen",
-                        "topology", "autoscale"):
+                        "topology", "autoscale", "chaos"):
             args = parser.parse_args([command])
             assert callable(args.fn)
         # `cache` needs its positional action.
         assert callable(parser.parse_args(["cache", "stats"]).fn)
+
+    def test_every_subcommand_keeps_its_flags_and_defaults(self):
+        parser = build_parser()
+        subparsers = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert sorted(subparsers.choices) == sorted(PARSER_PIN)
+        for command, (options, defaults) in PARSER_PIN.items():
+            sub = subparsers.choices[command]
+            seen = sorted(
+                s for a in sub._actions for s in a.option_strings if s not in ("-h", "--help")
+            )
+            assert seen == options, command
+            argv = [command, "stats"] if command == "cache" else [command]
+            parsed = vars(parser.parse_args(argv))
+            parsed.pop("fn")
+            assert parsed == defaults, command
 
 
 class TestCommands:
@@ -237,6 +429,51 @@ class TestTopologyAwareSimulate:
     def test_placement_flags_without_topology_are_an_error(self, capsys):
         assert main(self._argv("--placer", "scattered")) == 2
         assert "no effect without --topology" in capsys.readouterr().err
+
+
+class TestCompositionErrors:
+    """Inputs that do not compose exit 2 instead of running without one."""
+
+    ARGV = [
+        "simulate", "--model", "Llama3-8B", "--gpus-per-instance", "1",
+        "--n-prefill", "2", "--n-decode", "2", "--duration", "4",
+    ]
+
+    def test_shards_with_fabric_model_without_topology(self, capsys):
+        assert main([*self.ARGV, "--shards", "2", "--network-model", "fabric"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shards", ["0", "-3"])
+    def test_shards_below_one(self, capsys, shards):
+        assert main([*self.ARGV, "--shards", shards]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def readme_commands():
+    """Every ``python -m repro ...`` command in the README, as an argv list.
+
+    Backslash continuations are joined, a trailing ``...`` is dropped, and
+    the ``<command>`` placeholder is skipped.
+    """
+    text = README.read_text(encoding="utf-8").replace("\\\n", " ")
+    commands = []
+    for match in re.finditer(r"python -m repro ([^`#\n]*)", text):
+        argv = shlex.split(match.group(1))
+        if argv[-1:] == ["..."]:
+            argv.pop()
+        if not argv[0].startswith("<"):
+            commands.append(argv)
+    return commands
+
+
+class TestReadmeCommands:
+    def test_finds_the_readme_commands(self):
+        shown = {argv[0] for argv in readme_commands()}
+        assert {"simulate", "sweep", "screen", "chaos", "report"} <= shown
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_parser_accepts_readme_command(self, argv):
+        assert callable(build_parser().parse_args(argv).fn)
 
 
 class TestSweepTopologyCacheSeparation:

@@ -460,8 +460,6 @@ def check_composition(
         raise SpecError(f"network_model must be one of {'/'.join(NETWORK_MODELS)}")
     elastic = controller is not None and controller.epoch > 0
     if config.backend == "fluid":
-        if sharded:
-            raise SpecError("backend='fluid' cannot be combined with --shards (use 'event')")
         sampled = failure_model is not None or component_model is not None
         if failures or component_failures or sampled:
             raise SpecError(
@@ -473,6 +471,8 @@ def check_composition(
                 "backend='fluid' cannot model elastic controllers; "
                 "use the event backend or controller=None"
             )
+        if sharded:
+            raise SpecError("backend='fluid' cannot be combined with --shards (use 'event')")
     if sharded:
         if topology:
             raise SpecError("--shards cannot be combined with --topology")

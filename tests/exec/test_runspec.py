@@ -56,49 +56,64 @@ def _scripted(deployment):
     return [(1.0, deployment.pool_shapes()[-1].name, 0, 2.0)]
 
 
-# Each rule: the inputs RunSpec takes, the inputs both simulators take, and
-# the inputs run_sharded takes (None where that API has no such input).
-# Values that depend on the deployment are built from it by a callable.
+# Each rule: the message it raises, then the inputs RunSpec takes, the
+# inputs both simulators take and the inputs run_sharded takes (None where
+# that API has no such input).  Values that depend on the deployment are
+# built from it by a callable.
 COMPOSITION_RULES = [
-    ("fluid-with-shards", dict(config=FLUID, shards=2), None, dict(config=FLUID, shards=2)),
     (
-        "fluid-with-failure-model",
+        "fluid-with-shards", "fluid.*--shards",
+        dict(config=FLUID, shards=2), None, dict(config=FLUID, shards=2),
+    ),
+    (
+        "fluid-with-failure-model", "fluid.*failures",
         dict(config=FLUID, failure_model=FAILURES),
         dict(config=FLUID, failure_model=FAILURES),
         dict(config=FLUID, shards=2, failure_model=FAILURES),
     ),
     # RunSpec holds no scripted failures: no caller sets them on a run yet.
     (
-        "fluid-with-scripted-failures",
+        "fluid-with-scripted-failures", "fluid.*failures",
         None,
         dict(config=FLUID, failures=_scripted),
         dict(config=FLUID, shards=2, failures=_scripted),
     ),
     (
-        "fluid-with-controller",
+        "fluid-with-controller", "fluid.*elastic",
         dict(config=FLUID, controller="reactive"),
         dict(config=FLUID, controller="reactive"),
         None,
     ),
-    ("shards-with-topology", dict(shards=2, topology="switched"), None, None),
-    ("shards-with-controller", dict(shards=2, controller="reactive"), None, None),
-    ("shards-with-network-model", dict(shards=2, network_model="fabric"), None, None),
     (
-        "fabric-without-topology",
-        dict(network_model="fabric"),
-        dict(network_model="fabric"),
-        None,
+        "shards-with-topology", "--shards.*--topology",
+        dict(shards=2, topology="switched"), None, None,
     ),
     (
-        "placement-without-topology",
-        dict(placer=_placement),
-        dict(placer=_placement),
-        None,
+        "shards-with-controller", "--shards.*controller",
+        dict(shards=2, controller="reactive"), None, None,
     ),
-    ("placer-without-topology", dict(placer="scattered"), dict(placer="scattered"), None),
-    ("cluster-gpus-without-topology", dict(cluster_gpus=16), None, None),
-    ("zero-shards", dict(shards=0), None, dict(shards=0)),
-    ("negative-shards", dict(shards=-3), None, dict(shards=-3)),
+    (
+        "shards-with-network-model", "--shards.*--network-model",
+        dict(shards=2, network_model="fabric"), None, None,
+    ),
+    (
+        "fabric-without-topology", "topology is required",
+        dict(network_model="fabric"), dict(network_model="fabric"), None,
+    ),
+    (
+        "placement-without-topology", "topology is required",
+        dict(placer=_placement), dict(placer=_placement), None,
+    ),
+    (
+        "placer-without-topology", "no effect without --topology",
+        dict(placer="scattered"), dict(placer="scattered"), None,
+    ),
+    (
+        "cluster-gpus-without-topology", "no effect without --topology",
+        dict(cluster_gpus=16), None, None,
+    ),
+    ("zero-shards", "at least 1", dict(shards=0), None, dict(shards=0)),
+    ("negative-shards", "at least 1", dict(shards=-3), None, dict(shards=-3)),
 ]
 
 
@@ -107,34 +122,34 @@ def _resolve(kwargs, deployment):
 
 
 def _rules(column):
-    """The rules whose inputs one API takes, as (kwargs) params."""
+    """The rules whose inputs one API takes, as (message, kwargs) params."""
     return [
-        pytest.param(rule[column], id=rule[0])
+        pytest.param(rule[1], rule[column], id=rule[0])
         for rule in COMPOSITION_RULES
         if rule[column] is not None
     ]
 
 
 class TestCompositionRules:
-    @pytest.mark.parametrize("kwargs", _rules(1))
-    def test_runspec_rejects(self, kwargs):
+    @pytest.mark.parametrize("message, kwargs", _rules(2))
+    def test_runspec_rejects(self, message, kwargs):
         for deployment in (_pools(), _colocated()):
-            with pytest.raises(SpecError):
+            with pytest.raises(SpecError, match=message):
                 RunSpec(deployment, **_resolve(kwargs, deployment))
 
-    @pytest.mark.parametrize("kwargs", _rules(2))
-    def test_simulators_reject(self, kwargs):
+    @pytest.mark.parametrize("message, kwargs", _rules(3))
+    def test_simulators_reject(self, message, kwargs):
         for simulator_cls, deployment in (
             (ServingSimulator, _pools()),
             (ColocatedSimulator, _colocated()),
         ):
-            with pytest.raises(SpecError):
+            with pytest.raises(SpecError, match=message):
                 simulator_cls(deployment, **_resolve(kwargs, deployment))
 
-    @pytest.mark.parametrize("kwargs", _rules(3))
-    def test_run_sharded_rejects(self, kwargs):
+    @pytest.mark.parametrize("message, kwargs", _rules(4))
+    def test_run_sharded_rejects(self, message, kwargs):
         for deployment in (_pools(), _colocated()):
-            with pytest.raises(SpecError):
+            with pytest.raises(SpecError, match=message):
                 run_sharded(deployment, [], **_resolve(kwargs, deployment))
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
+from ..core.roofline import RooflinePolicy
 from ..hardware.gpu import H100, LITE
 from ..network.topology import DirectConnectTopology, Topology
 from ..workloads.models import LLAMA3_8B
@@ -62,8 +63,6 @@ def big_fleet(policy=None) -> "tuple[PhasePools, Topology, int]":
     8-GPU rack power domain whose loss lands entirely on the decode pool
     (instances 2-5 of 6 — two thirds of decode capacity).
     """
-    from ..core.roofline import RooflinePolicy
-
     spec = InstanceSpec(LLAMA3_8B, H100, 2, policy or RooflinePolicy())
     pools = PhasePools(prefill=spec, n_prefill=2, decode=spec, n_decode=6, max_decode_batch=64)
     return pools, DirectConnectTopology(n_gpus=16, group=8), 1
@@ -76,8 +75,6 @@ def lite_fleet(policy=None) -> "tuple[PhasePools, Topology, int]":
     only 2 of 12 decode instances (rack 2, GPUs 16-23) — one sixth of
     decode capacity instead of two thirds.
     """
-    from ..core.roofline import RooflinePolicy
-
     spec = InstanceSpec(LLAMA3_8B, LITE, 4, policy or RooflinePolicy())
     pools = PhasePools(prefill=spec, n_prefill=4, decode=spec, n_decode=12, max_decode_batch=64)
     return pools, DirectConnectTopology(n_gpus=64, group=4), 2
@@ -205,8 +202,6 @@ def retry_storm_scenario(
     the run to a subset of those keys (the memory benchmark traces just
     the worst-case ``fixed`` client).
     """
-    from ..core.roofline import RooflinePolicy
-
     spec = InstanceSpec(LLAMA3_8B, H100, 2, RooflinePolicy())
     pools = PhasePools(prefill=spec, n_prefill=1, decode=spec, n_decode=2, max_decode_batch=32)
     trace = generate_piecewise_trace(

@@ -994,6 +994,7 @@ class _EngineBase:
         or any iterator of arrival-ordered requests (e.g.
         :func:`repro.workloads.traces.iter_trace`), consumed one arrival
         ahead of the clock so only O(in-flight) requests are ever resident.
+        Either way ``arrivals`` ends up counting every request of the trace.
         """
         arrival_iter: Optional[Iterator[Request]] = None
         if isinstance(trace, SequenceABC):
@@ -1021,6 +1022,10 @@ class _EngineBase:
             if handler is None:  # pragma: no cover - defensive
                 raise SimulationError(f"unknown event kind '{kind}'")
             handler(time, payload)
+        if arrival_iter is not None:
+            # Requests past the horizon never arrive but still count, as they
+            # do for a materialized trace; counting them holds none resident.
+            self.arrivals += sum(1 for _ in arrival_iter)
         return self
 
     # --- control plane ------------------------------------------------------

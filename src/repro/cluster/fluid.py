@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,10 +43,8 @@ from ..workloads.traces import Request
 from .economics import EconomicsConfig, EconomicsReport, pool_economics
 from .engine import AbstractServiceTimeProvider
 from .policies import PolicyBundle
-from .scheduler import ColocatedPool, PhasePools
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (simulator imports us lazily)
-    from .simulator import SimConfig, SimReport
+from .scheduler import ColocatedPool, InstanceSpec, PhasePools
+from .simulator import SimConfig, SimReport, assemble_report
 
 __all__ = [
     "TraceProfile",
@@ -338,7 +337,7 @@ class _Trajectory:
     completed_mass: float = 0.0
     emitted_tokens: float = 0.0
     duration: float = 0.0
-    busy_prefill: float = 0.0  # instance-seconds
+    busy_prefill: float = 0.0  # instance-seconds (phase-split only)
     busy_decode: float = 0.0
     # Per-step (arrival-weighted) atoms for the e2e outer product.
     arrive_w: List[float] = field(default_factory=list)
@@ -371,69 +370,63 @@ def _ledger_states(busy_instance_seconds: float, n: int) -> List[_FluidInstanceS
     return [_FluidInstanceState(busy_time=per, energy_busy=per) for _ in range(n)]
 
 
+def _fluid_latencies(profile: TraceProfile, traj: _Trajectory) -> Tuple[float, ...]:
+    """Report latencies of a trajectory that completed at least one request."""
+    ttft_p50, ttft_p99 = _weighted_percentile(
+        np.array(traj.ttft_vals), np.array(traj.ttft_w), (50.0, 99.0)
+    )
+    cw = np.array(traj.complete_w)
+    tbt_c = np.array(traj.tbt_at_completion)
+    tbt_mean = float(np.average(tbt_c, weights=cw))
+    (tbt_p99,) = _weighted_percentile(tbt_c, cw, (99.0,))
+    # e2e: arrival-time atoms × empirical output-length atoms.
+    aw = np.array(traj.arrive_w)
+    gw, (gbase, gtbt) = _compress_steps(
+        aw, (np.array(traj.e2e_base), np.array(traj.tbt_at_arrival))
+    )
+    atoms = profile.output_atoms
+    e2e = (gbase[:, None] + atoms[None, :] * gtbt[:, None]).ravel()
+    e2e_w = np.repeat(gw / len(atoms), len(atoms))
+    e2e_p50, e2e_p99 = _weighted_percentile(e2e, e2e_w, (50.0, 99.0))
+    return ttft_p50, ttft_p99, tbt_mean, tbt_p99, e2e_p50, e2e_p99
+
+
 def _fluid_report(
     profile: TraceProfile,
     traj: _Trajectory,
-    n_prefill: int,
-    n_decode: int,
-) -> "SimReport":
-    """Assemble a SimReport from an integrated trajectory (NaN, never 0.0)."""
-    from .simulator import SimReport
+    pools: Sequence[Tuple[str, InstanceSpec, int, float]],
+    economics: EconomicsConfig,
+) -> Tuple[SimReport, EconomicsReport]:
+    """Report and economics of an integrated trajectory.
 
-    nan = float("nan")
+    ``pools`` lists ``(name, instance, n_instances, busy instance-seconds)``
+    with the decoding pool last, as on the simulators' pool table.
+    """
     completed = max(0, int(round(min(traj.completed_mass, float(profile.n_requests)))))
     duration = max(traj.duration, _EPS)
-    if completed > 0 and traj.arrive_w and traj.complete_w:
-        ttft_p50, ttft_p99 = _weighted_percentile(
-            np.array(traj.ttft_vals), np.array(traj.ttft_w), (50.0, 99.0)
-        )
-        cw = np.array(traj.complete_w)
-        tbt_c = np.array(traj.tbt_at_completion)
-        tbt_mean = float(np.average(tbt_c, weights=cw))
-        (tbt_p99,) = _weighted_percentile(tbt_c, cw, (99.0,))
-        # e2e: arrival-time atoms × empirical output-length atoms.
-        aw = np.array(traj.arrive_w)
-        gw, (gbase, gtbt) = _compress_steps(
-            aw, (np.array(traj.e2e_base), np.array(traj.tbt_at_arrival))
-        )
-        atoms = profile.output_atoms
-        e2e = (gbase[:, None] + atoms[None, :] * gtbt[:, None]).ravel()
-        e2e_w = np.repeat(gw / len(atoms), len(atoms))
-        e2e_p50, e2e_p99 = _weighted_percentile(e2e, e2e_w, (50.0, 99.0))
-    else:
-        ttft_p50 = ttft_p99 = tbt_mean = tbt_p99 = e2e_p50 = e2e_p99 = nan
-    return SimReport(
-        completed=completed,
-        dropped=profile.n_requests - completed,
-        duration=duration,
-        ttft_p50=float(ttft_p50),
-        ttft_p99=float(ttft_p99),
-        tbt_mean=float(tbt_mean),
-        tbt_p99=float(tbt_p99),
-        e2e_p50=float(e2e_p50),
-        e2e_p99=float(e2e_p99),
-        output_tokens_per_s=traj.emitted_tokens / duration,
-        prefill_utilization=min(1.0, traj.busy_prefill / (n_prefill * duration)),
-        decode_utilization=min(1.0, traj.busy_decode / (n_decode * duration)),
-        requeued_on_failure=0,
-        backend="fluid",
-    )
-
-
-def _attach_fluid_economics(
-    report: "SimReport", rollups: Tuple, out_tokens: float
-) -> Tuple["SimReport", EconomicsReport]:
     econ = EconomicsReport(
-        pools=tuple(rollups),
-        duration=report.duration,
-        output_tokens=int(round(out_tokens)),
+        pools=tuple(
+            pool_economics(name, spec, _ledger_states(busy, n), duration, economics)
+            for name, spec, n, busy in pools
+        ),
+        duration=duration,
+        output_tokens=int(round(traj.emitted_tokens)),
     )
-    report = replace(
-        report,
+    (_, _, n_first, busy_first), (_, _, n_last, busy_last) = pools[0], pools[-1]
+    report = assemble_report(
+        completed=completed,
+        arrivals=profile.n_requests,
+        duration=duration,
+        latencies=partial(_fluid_latencies, profile, traj),
+        output_tokens=traj.emitted_tokens,
+        prefill_busy=busy_first / (n_first * duration),
+        decode_busy=busy_last / (n_last * duration),
+        priced_tokens=econ.output_tokens,
         gpu_seconds=econ.gpu_seconds,
         energy_joules=econ.energy_joules,
         usd_cost=econ.usd_cost,
-        usd_per_mtoken=econ.usd_per_mtoken,
+        requeued_on_failure=0,
+        backend="fluid",
     )
     return report, econ
 
@@ -806,7 +799,6 @@ def _integrate_colocated(
             break
     if traj.duration == 0.0:
         traj.duration = t_next
-    traj.busy_prefill = traj.busy_decode  # one pool: both utilizations equal
     traj.emitted_tokens = traj.completed_mass * out_mean + sum(
         mass * min(out_mean, progress - admitted_at) for mass, admitted_at in cohorts
     )
@@ -820,13 +812,13 @@ def _integrate_colocated(
 
 def fluid_phase_split_report(
     pools: PhasePools,
-    config: "SimConfig",
+    config: SimConfig,
     trace: "Sequence[Request] | Iterable[Request]",
     prefill_provider: AbstractServiceTimeProvider,
     decode_provider: AbstractServiceTimeProvider,
     bundle: PolicyBundle,
     economics: EconomicsConfig,
-) -> Tuple["SimReport", EconomicsReport]:
+) -> Tuple[SimReport, EconomicsReport]:
     """Fluid counterpart of :meth:`ServingSimulator.run`."""
     trace = list(trace)
     profile = TraceProfile.from_trace(trace)
@@ -844,30 +836,24 @@ def fluid_phase_split_report(
             pools, profile, pfit, dfit, config.max_sim_time,
             _balanced_routing(bundle), kv_capacity,
         )
-    report = _fluid_report(profile, traj, pools.n_prefill, pools.n_decode)
-    rollups = (
-        pool_economics(
-            "prefill", pools.prefill,
-            _ledger_states(traj.busy_prefill, pools.n_prefill),
-            report.duration, economics,
+    return _fluid_report(
+        profile, traj,
+        (
+            ("prefill", pools.prefill, pools.n_prefill, traj.busy_prefill),
+            ("decode", pools.decode, pools.n_decode, traj.busy_decode),
         ),
-        pool_economics(
-            "decode", pools.decode,
-            _ledger_states(traj.busy_decode, pools.n_decode),
-            report.duration, economics,
-        ),
+        economics,
     )
-    return _attach_fluid_economics(report, rollups, traj.emitted_tokens)
 
 
 def fluid_colocated_report(
     pool: ColocatedPool,
-    config: "SimConfig",
+    config: SimConfig,
     trace: "Sequence[Request] | Iterable[Request]",
     provider: AbstractServiceTimeProvider,
     bundle: PolicyBundle,
     economics: EconomicsConfig,
-) -> Tuple["SimReport", EconomicsReport]:
+) -> Tuple[SimReport, EconomicsReport]:
     """Fluid counterpart of :meth:`ColocatedSimulator.run`."""
     trace = list(trace)
     profile = TraceProfile.from_trace(trace)
@@ -886,10 +872,7 @@ def fluid_colocated_report(
             pool, profile, mfit, dfit, config.max_sim_time,
             _balanced_routing(bundle), kv_capacity,
         )
-    report = _fluid_report(profile, traj, pool.n_instances, pool.n_instances)
-    rollup = pool_economics(
-        "colocated", pool.instance,
-        _ledger_states(traj.busy_decode, pool.n_instances),
-        report.duration, economics,
+    return _fluid_report(
+        profile, traj, (("colocated", pool.instance, pool.n_instances, traj.busy_decode),),
+        economics,
     )
-    return _attach_fluid_economics(report, (rollup,), traj.emitted_tokens)

@@ -326,7 +326,7 @@ def wrap_checkpoint_writes(
 
 # --- the runtime ------------------------------------------------------------
 
-#: SimReport fields owned by this module, in report order, with defaults.
+#: SimReport's resilience block, in report order, with its no-resilience values.
 RESILIENCE_FIELDS: Tuple[Tuple[str, float], ...] = (
     ("deadline_missed", 0),
     ("timed_out", 0),
@@ -647,11 +647,8 @@ class ResilienceRuntime:
 
     # --- reporting ----------------------------------------------------------
 
-    def report_fields(
-        self, duration: float, instance_seconds: float, arrivals: int, completed: int
-    ) -> Dict[str, float]:
-        """The resilience block of a :class:`~repro.cluster.simulator.SimReport`."""
-        duration = max(duration, 1e-9)
+    def report_fields(self, instance_seconds: float) -> Dict[str, float]:
+        """Counters, MTTR and availability; the report assembler derives the rates."""
         if instance_seconds > 0:
             downtime = min(self.downtime_s, instance_seconds)
             availability = 1.0 - downtime / instance_seconds
@@ -665,10 +662,7 @@ class ResilienceRuntime:
             "retries": self.retries,
             "abandoned": self.abandoned,
             "goodput_tokens": self.goodput_tokens,
-            "goodput_tokens_per_s": self.goodput_tokens / duration,
             "slo_violations": self.slo_violations,
-            "slo_violation_rate": self.slo_violations / completed if completed else 0.0,
-            "deadline_miss_rate": self.deadline_missed / arrivals if arrivals else 0.0,
             "failure_hits": self.failure_hits,
             "mttr_s": self._mttr_sum / self._mttr_count if self._mttr_count else 0.0,
             "availability": availability,

@@ -33,8 +33,9 @@ the policy bundle, and the failure schedule (scripted or seeded).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -339,51 +340,41 @@ class SimReport:
         return text
 
 
-def _build_report(
-    engine, prefill_busy: Sequence[float], decode_busy: Sequence[float]
+def assemble_report(
+    *,
+    completed: int,
+    arrivals: int,
+    duration: float,
+    latencies: Callable[[], Sequence[float]],
+    output_tokens: float,
+    prefill_busy: float,
+    decode_busy: float,
+    priced_tokens: int,
+    **totals,
 ) -> SimReport:
-    """Assemble the report of a finished engine run.
+    """The report of a finished run: the one place the report format lives.
 
-    Counters are exact in both metric modes.  Latency percentiles are exact
-    under ``metrics="exact"``; under ``"streaming"`` they come from the
-    engine's quantile sketches, accurate to ≤1% relative error on the
-    latency shapes the simulator produces.
-
-    Output tokens come from the engine's counter rather than a sum over
-    completions: the two agree bit-for-bit on the default path, but
-    checkpointed restarts shrink a resumed request's ``output_tokens`` and
-    pay the difference back as credit only the counter sees.  Restart
-    counts come from ``engine.restarted_total`` (incremented once per
-    distinct request) rather than ``len(engine.restarts)`` — the streaming
-    path prunes the per-request dict at completion to bound memory, and
-    per-shard totals must survive that pruning so sharded and unsharded
-    runs agree (the ids are disjoint across shards, so summing
-    distinct-request counts is exact).
+    Event runs (exact or streaming metrics), both fluid shapes and sharded
+    merges all end here, each with the arithmetic only it knows done
+    first: ``duration`` floored, ``prefill_busy``/``decode_busy`` as busy
+    fractions of the first and last pool, ``latencies`` returning
+    ``(ttft_p50, ttft_p99, tbt_mean, tbt_p99, e2e_p50, e2e_p99)``, and
+    ``totals`` the :class:`SimReport` fields the run counted or summed
+    itself (counters, the gpu-second/energy/$ totals, ``mttr_s``,
+    ``availability``, ``backend``).  Derived here: NaN latencies without a
+    completion (``latencies`` is then never called), ``dropped`` as
+    arrivals that did not complete, throughput, the utilization clamp,
+    $/Mtoken over ``priced_tokens``, and the goodput, SLO-violation and
+    deadline-miss rates.
     """
-    duration = max(engine.work_time, 1e-9)
-    ttft_p50 = ttft_p99 = tbt_mean = tbt_p99 = e2e_p50 = e2e_p99 = float("nan")
-    sketches = engine.metrics
-    if sketches is not None:
-        completed = sketches.completed
-        if completed:
-            ttft_p50, ttft_p99 = sketches.ttft.quantiles((0.5, 0.99))
-            e2e_p50, e2e_p99 = sketches.e2e.quantiles((0.5, 0.99))
-            tbt_p99 = sketches.tbt.quantile(0.99)
-            tbt_mean = sketches.tbt.mean
+    if completed:
+        ttft_p50, ttft_p99, tbt_mean, tbt_p99, e2e_p50, e2e_p99 = latencies()
     else:
-        completed = len(engine.completed)
-        if completed:
-            # One pass over the completions builds a (n, 3) metric matrix,
-            # and one vectorized percentile call covers every quantile
-            # column — instead of three array builds plus five sorts.
-            metrics = np.array([(c.ttft, c.mean_tbt, c.e2e) for c in engine.completed])
-            (ttft_p50, _, e2e_p50), (ttft_p99, tbt_p99, e2e_p99) = np.percentile(
-                metrics, (50, 99), axis=0
-            )
-            tbt_mean = np.mean(metrics[:, 1])
-    report = SimReport(
+        ttft_p50 = ttft_p99 = tbt_mean = tbt_p99 = e2e_p50 = e2e_p99 = float("nan")
+    usd_cost = totals.get("usd_cost", 0.0)
+    return SimReport(
         completed=completed,
-        dropped=engine.arrivals - completed,
+        dropped=arrivals - completed,
         duration=duration,
         ttft_p50=float(ttft_p50),
         ttft_p99=float(ttft_p99),
@@ -391,21 +382,38 @@ def _build_report(
         tbt_p99=float(tbt_p99),
         e2e_p50=float(e2e_p50),
         e2e_p99=float(e2e_p99),
-        output_tokens_per_s=engine.output_token_count / duration,
-        prefill_utilization=min(1.0, float(np.mean(prefill_busy) / duration)),
-        decode_utilization=min(1.0, float(np.mean(decode_busy) / duration)),
-        requeued_on_failure=engine.requeued,
-        restarted_requests=engine.restarted_total,
+        output_tokens_per_s=output_tokens / duration,
+        prefill_utilization=min(1.0, float(prefill_busy)),
+        decode_utilization=min(1.0, float(decode_busy)),
+        usd_per_mtoken=usd_cost / (priced_tokens / 1e6) if priced_tokens > 0 else 0.0,
+        goodput_tokens_per_s=totals.get("goodput_tokens", 0) / duration,
+        slo_violation_rate=totals.get("slo_violations", 0) / completed if completed else 0.0,
+        deadline_miss_rate=totals.get("deadline_missed", 0) / arrivals if arrivals else 0.0,
+        **totals,
     )
-    if engine.resilience is not None:
-        fields = engine.resilience.report_fields(
-            report.duration,
-            engine._instance_seconds(report.duration),
-            arrivals=engine.arrivals,
-            completed=report.completed,
-        )
-        report = replace(report, **fields)
-    return report
+
+
+def sketch_latencies(metrics) -> Tuple[float, ...]:
+    """Report latencies from a :class:`~repro.analysis.streaming.StreamingMetrics`.
+
+    Estimates within the sketches' ≤1% rank error on the latency shapes
+    the simulator produces.
+    """
+    ttft_p50, ttft_p99 = metrics.ttft.quantiles((0.5, 0.99))
+    e2e_p50, e2e_p99 = metrics.e2e.quantiles((0.5, 0.99))
+    tbt_p99 = metrics.tbt.quantile(0.99)
+    return ttft_p50, ttft_p99, metrics.tbt.mean, tbt_p99, e2e_p50, e2e_p99
+
+
+def _exact_latencies(completed: Sequence[CompletedRequest]) -> Tuple[float, ...]:
+    # One pass over the completions builds a (n, 3) metric matrix, and one
+    # vectorized percentile call covers every quantile column — instead of
+    # three array builds plus five sorts.
+    metrics = np.array([(c.ttft, c.mean_tbt, c.e2e) for c in completed])
+    (ttft_p50, _, e2e_p50), (ttft_p99, tbt_p99, e2e_p99) = np.percentile(
+        metrics, (50, 99), axis=0
+    )
+    return ttft_p50, ttft_p99, np.mean(metrics[:, 1]), tbt_p99, e2e_p50, e2e_p99
 
 
 def _failure_limit(
@@ -615,34 +623,52 @@ class _Simulator:
             spawn_limits=self._spawn_limits,
         )
         engine.run(trace)
-        self.last_metrics = engine.metrics
+        self.last_metrics = metrics = engine.metrics
         states = engine.states
-        first, last = self._pools[0][0], self._pools[-1][0]
-        report = _build_report(
-            engine,
-            [s.busy_time for s in states[first]],
-            [s.busy_time for s in states[last]],
-        )
-        # The engine's integer token counter equals a sum over ``completed``
-        # bit-for-bit, and also exists when streaming metrics never
-        # materialize the completion list.
+        duration = max(engine.work_time, 1e-9)
         econ = EconomicsReport(
             pools=tuple(
-                pool_economics(name, spec, states[name], report.duration, self.economics)
+                pool_economics(name, spec, states[name], duration, self.economics)
                 for name, spec, _ in self._pools
             ),
-            duration=report.duration,
+            duration=duration,
             output_tokens=engine.output_token_count,
         )
         self.last_economics = econ
-        return replace(
-            report,
+        # Counters are exact in both metric modes; only the latencies come
+        # from sketches under metrics="streaming".
+        if metrics is None:
+            completed = len(engine.completed)
+            latencies = partial(_exact_latencies, engine.completed)
+        else:
+            completed, latencies = metrics.completed, partial(sketch_latencies, metrics)
+        resilience = {}
+        if engine.resilience is not None:
+            resilience = engine.resilience.report_fields(engine._instance_seconds(duration))
+        first, last = self._pools[0][0], self._pools[-1][0]
+        # Output tokens come from the engine's counter rather than a sum
+        # over completions: checkpointed restarts shrink a resumed request's
+        # ``output_tokens`` and pay the difference back as credit only the
+        # counter sees, and streaming metrics keep no completion list.
+        # ``restarted_total`` counts distinct requests and survives the
+        # streaming path's pruning, so sharded and unsharded runs agree.
+        return assemble_report(
+            completed=completed,
+            arrivals=engine.arrivals,
+            duration=duration,
+            latencies=latencies,
+            output_tokens=engine.output_token_count,
+            prefill_busy=np.mean([s.busy_time for s in states[first]]) / duration,
+            decode_busy=np.mean([s.busy_time for s in states[last]]) / duration,
+            priced_tokens=econ.output_tokens,
             gpu_seconds=econ.gpu_seconds,
             energy_joules=econ.energy_joules,
             usd_cost=econ.usd_cost,
-            usd_per_mtoken=econ.usd_per_mtoken,
+            requeued_on_failure=engine.requeued,
+            restarted_requests=engine.restarted_total,
             spawned_instances=engine.spawned,
             retired_instances=engine.retired,
+            **resilience,
         )
 
 
@@ -699,7 +725,7 @@ class ServingSimulator(_Simulator):
 
         >>> # see examples/splitwise_serving.py for an end-to-end run
         """
-        from .fluid import fluid_phase_split_report
+        from .fluid import fluid_phase_split_report  # local: fluid imports this module
 
         return self._run(trace, PhaseSplitEngine, fluid_phase_split_report)
 
@@ -735,7 +761,7 @@ class ColocatedSimulator(_Simulator):
         Iterator traces are fed one arrival ahead of the clock, exactly as
         on :meth:`ServingSimulator.run`.
         """
-        from .fluid import fluid_colocated_report
+        from .fluid import fluid_colocated_report  # local: fluid imports this module
 
         return self._run(trace, ColocatedEngine, fluid_colocated_report)
 

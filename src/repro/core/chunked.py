@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from ..errors import SpecError
 from ..hardware.gpu import GPUSpec
 from ..workloads.transformer import ModelSpec
-from .inference import _pass_time
+from .inference import PrefillWorkload, _pass_time, prefill_pass
 from .parallelism import TensorParallel
 from .roofline import RooflinePolicy
 from .stages import PhaseCosts, StageCost, _attention_cost, _lm_head_cost, _mlp_cost, _projection_cost
@@ -198,7 +198,6 @@ def chunked_vs_split_throughput(
         mixed = mixed_iteration_time(
             model, gpu, n_gpus, MixedIteration(decode_batch, context_len, chunk), policy
         )
-    from .inference import PrefillWorkload, prefill_pass
 
     dedicated = prefill_pass(model, gpu, n_gpus, PrefillWorkload(batch=1), policy)
     return {

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from ..errors import SpecError
+from ..workloads.moe import MoEModelSpec
 from .parallelism import TensorParallel
 from .roofline import RooflinePolicy
 
@@ -126,8 +127,6 @@ def _mlp_cost(tp: TensorParallel, tokens: float, policy: RooflinePolicy) -> Stag
     """The MLP block: dense (sharded GEMMs + all-reduce) or MoE
     (expert-parallel: all-to-all dispatch, top-k expert GEMMs, all-to-all
     combine)."""
-    from ..workloads.moe import MoEModelSpec  # local: avoid import cycle at init
-
     m = tp.model
     t = tp.degree
     act = policy.act_bytes

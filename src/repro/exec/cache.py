@@ -57,7 +57,7 @@ def encode_result(value: Any) -> Dict[str, Any]:
 
     Raises ``TypeError`` for values the codec cannot represent faithfully.
     """
-    from ..cluster.simulator import SimReport  # local import: keep this module light
+    from ..cluster.simulator import SimReport  # local: the cluster stack imports repro.exec
 
     if isinstance(value, SimReport):
         return {"type": "SimReport", "data": value.__dict__.copy()}
@@ -71,7 +71,7 @@ def encode_result(value: Any) -> Dict[str, Any]:
 
 def decode_result(record: Dict[str, Any]) -> Any:
     """Inverse of :func:`encode_result`."""
-    from ..cluster.simulator import SimReport
+    from ..cluster.simulator import SimReport  # local: the cluster stack imports repro.exec
 
     kind = record["type"]
     if kind == "SimReport":
@@ -99,7 +99,8 @@ class ResultCache:
 
     def __init__(self, root: str | os.PathLike = ".repro_cache", salt: Optional[str] = None) -> None:
         if salt is None:
-            from .. import __version__ as salt  # code-version salt by default
+            # Code-version salt; local: repro sets __version__ after importing us.
+            from .. import __version__ as salt
         self.root = Path(root)
         self.salt = str(salt)
         self.hits = 0

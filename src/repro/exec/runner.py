@@ -200,7 +200,7 @@ def run_many(
     if pending:
         todo = [jobs[i] for i in pending]
         if workers == 1 or len(todo) == 1:
-            from ..cluster.engine import shared_service_memos
+            from ..cluster.engine import shared_service_memos  # local: cluster imports exec
 
             with shared_service_memos():
                 results = [_execute(job) for job in todo]

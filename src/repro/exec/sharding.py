@@ -37,8 +37,20 @@ one sketch bundle per shard — never the per-completion lists.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from ..analysis.streaming import StreamingMetrics
+from ..cluster.policies import ROUTING_POLICIES, RoutingPolicy
+from ..cluster.scheduler import ColocatedPool, PhasePools
+from ..cluster.simulator import (
+    SimConfig,
+    SimReport,
+    assemble_report,
+    check_composition,
+    simulator_for,
+    sketch_latencies,
+)
 from ..errors import SpecError
 from .runner import Job, run_many
 from .seeding import derive_seed
@@ -53,8 +65,6 @@ __all__ = [
 
 def _resolve_routing(policy: Any):
     """A fresh routing-policy instance from a name or instance."""
-    from ..cluster.policies import ROUTING_POLICIES, RoutingPolicy
-
     if isinstance(policy, str):
         return ROUTING_POLICIES.get(policy)()
     if isinstance(policy, RoutingPolicy):
@@ -114,8 +124,6 @@ def shard_deployment(deployment: Any, n_shards: int) -> List[Any]:
     remainder).  Every shard must keep at least one instance of each pool,
     so ``n_shards`` is bounded by the smallest pool.
     """
-    from ..cluster.scheduler import ColocatedPool, PhasePools
-
     if n_shards < 1:
         raise SpecError("n_shards must be at least 1")
     if isinstance(deployment, PhasePools):
@@ -181,8 +189,6 @@ def _run_shard(
     failures: Sequence[Tuple[float, str, int, float]] = (),
 ) -> Dict[str, Any]:
     """Simulate one shard; module-level so worker processes can pickle it."""
-    from ..cluster.simulator import simulator_for
-
     sim = simulator_for(deployment)(
         deployment,
         config,
@@ -202,26 +208,26 @@ def _run_shard(
     }
 
 
-def merge_shard_results(parts: Sequence[Dict[str, Any]]) -> Any:
+#: SimReport fields a sharded run sums over its shard reports, in shard order.
+_SUMMED_FIELDS = (
+    "requeued_on_failure", "restarted_requests", "gpu_seconds", "energy_joules", "usd_cost",
+    "spawned_instances", "retired_instances", "deadline_missed", "timed_out", "load_shed",
+    "truncated", "retries", "abandoned", "goodput_tokens", "slo_violations", "failure_hits",
+)
+
+
+def merge_shard_results(parts: Sequence[Dict[str, Any]]) -> SimReport:
     """Fold per-shard results into one :class:`SimReport`.
 
-    Integer counters (completed/dropped/requeued/restarted/tokens/spawns)
-    sum bit-exactly; ``duration`` is the latest shard clock; utilizations
-    recombine from reconstructed busy time; latency percentiles come from
-    the merged quantile sketches; economics totals sum, with
-    ``usd_per_mtoken`` re-amortized over the merged token count.
-
-    Resilience fields follow the same discipline: event counters
-    (sheds/retries/goodput tokens/failure hits) are integer sums — valid
-    because shard request-id sets are disjoint, so per-shard
-    distinct-request counts (``restarted_requests``) sum exactly; the
-    rates (goodput/s, SLO-violation, deadline-miss) are recomputed from
-    the merged sums; ``mttr_s`` is the failure-hit-weighted mean; and
-    ``availability`` is the instance-second-weighted mean.
+    Counters and economics totals (``_SUMMED_FIELDS``) sum in shard
+    order; integer sums are exact, and so are the distinct-request counts
+    (``restarted_requests``) because shard request-id sets are disjoint.
+    ``completed`` and the output tokens come from the merged sketches,
+    ``duration`` is the latest shard clock, utilizations recombine from
+    reconstructed busy time, ``mttr_s`` is the failure-hit-weighted mean
+    and ``availability`` the instance-second-weighted mean.  The report
+    assembler derives the rest (latencies, rates, $/Mtoken) from these.
     """
-    from ..analysis.streaming import StreamingMetrics
-    from ..cluster.simulator import SimReport
-
     if not parts:
         raise SpecError("cannot merge zero shard results")
     metrics = StreamingMetrics.merged([p["metrics"] for p in parts])
@@ -237,20 +243,8 @@ def merge_shard_results(parts: Sequence[Dict[str, Any]]) -> Any:
         r.decode_utilization * r.duration * p["decode_n"]
         for r, p in zip(reports, parts)
     )
-    if metrics.completed:
-        ttft_p50, ttft_p99 = metrics.ttft.quantiles((0.5, 0.99))
-        e2e_p50, e2e_p99 = metrics.e2e.quantiles((0.5, 0.99))
-        tbt_p99 = metrics.tbt.quantile(0.99)
-        tbt_mean = metrics.tbt.mean
-    else:
-        nan = float("nan")
-        ttft_p50 = ttft_p99 = tbt_mean = tbt_p99 = e2e_p50 = e2e_p99 = nan
-    usd_cost = sum(r.usd_cost for r in reports)
-    arrivals = metrics.completed + sum(r.dropped for r in reports)
-    goodput_tokens = sum(r.goodput_tokens for r in reports)
-    slo_violations = sum(r.slo_violations for r in reports)
-    deadline_missed = sum(r.deadline_missed for r in reports)
-    failure_hits = sum(r.failure_hits for r in reports)
+    sums = {name: sum(getattr(r, name) for r in reports) for name in _SUMMED_FIELDS}
+    failure_hits = sums["failure_hits"]
     # Weighted means: MTTR by each shard's failure hits; availability by
     # instance-seconds (duration × instances — the same scale the shards
     # normalized their own downtime by).
@@ -268,43 +262,18 @@ def merge_shard_results(parts: Sequence[Dict[str, Any]]) -> Any:
         if total_inst_seconds > 0
         else 1.0
     )
-    return SimReport(
+    return assemble_report(
         completed=metrics.completed,
-        dropped=sum(r.dropped for r in reports),
+        arrivals=metrics.completed + sum(r.dropped for r in reports),
         duration=duration,
-        ttft_p50=float(ttft_p50),
-        ttft_p99=float(ttft_p99),
-        tbt_mean=float(tbt_mean),
-        tbt_p99=float(tbt_p99),
-        e2e_p50=float(e2e_p50),
-        e2e_p99=float(e2e_p99),
-        output_tokens_per_s=metrics.output_tokens / duration,
-        prefill_utilization=min(1.0, prefill_busy / (duration * max(prefill_n, 1))),
-        decode_utilization=min(1.0, decode_busy / (duration * max(decode_n, 1))),
-        requeued_on_failure=sum(r.requeued_on_failure for r in reports),
-        restarted_requests=sum(r.restarted_requests for r in reports),
-        gpu_seconds=sum(r.gpu_seconds for r in reports),
-        energy_joules=sum(r.energy_joules for r in reports),
-        usd_cost=usd_cost,
-        usd_per_mtoken=(
-            usd_cost / (metrics.output_tokens / 1e6) if metrics.output_tokens else 0.0
-        ),
-        spawned_instances=sum(r.spawned_instances for r in reports),
-        retired_instances=sum(r.retired_instances for r in reports),
-        deadline_missed=deadline_missed,
-        timed_out=sum(r.timed_out for r in reports),
-        load_shed=sum(r.load_shed for r in reports),
-        truncated=sum(r.truncated for r in reports),
-        retries=sum(r.retries for r in reports),
-        abandoned=sum(r.abandoned for r in reports),
-        goodput_tokens=goodput_tokens,
-        goodput_tokens_per_s=goodput_tokens / duration,
-        slo_violations=slo_violations,
-        slo_violation_rate=slo_violations / metrics.completed if metrics.completed else 0.0,
-        deadline_miss_rate=deadline_missed / arrivals if arrivals else 0.0,
-        failure_hits=failure_hits,
+        latencies=partial(sketch_latencies, metrics),
+        output_tokens=metrics.output_tokens,
+        prefill_busy=prefill_busy / (duration * max(prefill_n, 1)),
+        decode_busy=decode_busy / (duration * max(decode_n, 1)),
+        priced_tokens=metrics.output_tokens,
         mttr_s=mttr_s,
         availability=availability,
+        **sums,
     )
 
 
@@ -340,8 +309,6 @@ def run_sharded(
     is consumed once.  Topology and controller knobs remain whole-cluster
     concerns and are not supported here — use the unsharded simulators.
     """
-    from ..cluster.simulator import SimConfig, check_composition
-
     config = config or SimConfig()
     check_composition(
         config, shards=shards, sharded=True, failure_model=failure_model, failures=failures

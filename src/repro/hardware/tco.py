@@ -21,11 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from ..cluster.spec import ClusterSpec
 from ..errors import SpecError
 from ..units import HOUR, KILOWATT, YEAR
 from .cost import CostModel
+
+if TYPE_CHECKING:  # pragma: no cover - the cluster package imports this module
+    from ..cluster.spec import ClusterSpec
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,7 @@ def cluster_tco(
 ) -> TCOBreakdown:
     """Amortized hourly TCO of a cluster.
 
+    >>> from repro.cluster.spec import ClusterSpec
     >>> from repro.hardware.gpu import H100
     >>> bd = cluster_tco(ClusterSpec(H100, 8))
     >>> bd.total_per_hour > 0
@@ -146,6 +150,8 @@ def gpu_hour_rate(
     >>> gpu_hour_rate(H100, 8) > 0
     True
     """
+    from ..cluster.spec import ClusterSpec  # local: the cluster package imports this module
+
     assumptions = assumptions or TCOAssumptions()
     n = max(2, int(n_gpus))  # every fabric model needs at least two endpoints
     if topology_kind == "direct":

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from ..errors import SpecError
+from ..exec.seeding import derive_seed
 
 
 class LengthDistribution(enum.Enum):
@@ -190,8 +191,6 @@ def iter_trace(
     >>> [r.request_id for r in lazy] == list(range(len(lazy)))
     True
     """
-    from ..exec.seeding import derive_seed  # local: keep the import DAG flat
-
     if window <= 0:
         raise SpecError("window must be positive")
     next_id = 0
@@ -256,8 +255,6 @@ def generate_piecewise_trace(
     >>> len([r for r in trace if r.arrival > 10]) > len([r for r in trace if r.arrival <= 10])
     True
     """
-    from ..exec.seeding import derive_seed  # local: keep the import DAG flat
-
     if not segments:
         raise SpecError("segments must be non-empty")
     base = base or TraceConfig()

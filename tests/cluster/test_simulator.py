@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cluster.scheduler import InstanceSpec, PhasePools
 from repro.cluster.simulator import ServingSimulator, SimConfig
 from repro.errors import SpecError
+from repro.exec import RunSpec
 from repro.hardware.gpu import H100, LITE, LITE_MEMBW, LITE_NETBW_FLOPS
 from repro.workloads.models import LLAMA3_8B, LLAMA3_70B
 from repro.workloads.traces import Request, TraceConfig, generate_trace
@@ -61,9 +64,26 @@ class TestBasics:
         report = ServingSimulator(pools(), SimConfig(max_sim_time=100.0)).run(trace(rate=1.0, duration=3.0))
         assert "completed" in report.describe()
 
-    def test_empty_trace(self):
-        report = ServingSimulator(pools(), SimConfig(max_sim_time=10.0)).run([])
+    @pytest.mark.parametrize(
+        "config, shards",
+        [
+            (SimConfig(max_sim_time=10.0), 1),
+            (SimConfig(max_sim_time=10.0, metrics="streaming"), 1),
+            (SimConfig(max_sim_time=10.0, backend="fluid"), 1),
+            (SimConfig(max_sim_time=10.0), 2),
+        ],
+        ids=["event-exact", "event-streaming", "fluid", "shards-2"],
+    )
+    def test_empty_trace(self, config, shards):
+        report = RunSpec(pools(n_prefill=2, n_decode=2), config, shards=shards).run([])
         assert report.completed == 0
+        assert report.dropped == 0
+        latencies = (
+            report.ttft_p50, report.ttft_p99, report.tbt_mean,
+            report.tbt_p99, report.e2e_p50, report.e2e_p99,
+        )
+        assert all(math.isnan(value) for value in latencies)
+        assert report.usd_per_mtoken == 0.0
 
 
 class TestCapacityEffects:

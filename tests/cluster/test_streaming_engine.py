@@ -108,10 +108,13 @@ class TestStreamingParity:
 
 
 class TestIteratorTraces:
+    # A 10 s horizon cuts the 25 s trace: the requests the iterator never
+    # fed still count as dropped, exactly as for the list.
+    @pytest.mark.parametrize("max_sim_time", [600, 10], ids=["drained", "horizon-cut"])
     @pytest.mark.parametrize("shape", ["phase-split", "colocated"])
-    def test_iterator_trace_matches_list_trace(self, shape):
+    def test_iterator_trace_matches_list_trace(self, shape, max_sim_time):
         trace = _trace(rate=10, duration=25)
-        config = SimConfig(max_sim_time=600, metrics="streaming")
+        config = SimConfig(max_sim_time=max_sim_time, metrics="streaming")
         if shape == "phase-split":
             from_list = ServingSimulator(_pools(), config).run(trace)
             from_iter = ServingSimulator(_pools(), config).run(iter(trace))

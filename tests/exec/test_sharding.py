@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.cluster.resilience import ResilienceConfig
 from repro.cluster.scheduler import ColocatedPool, InstanceSpec, PhasePools
-from repro.cluster.simulator import SimConfig
+from repro.cluster.simulator import SimConfig, SimReport
 from repro.errors import SpecError
+from repro.exec import sharding
 from repro.exec.sharding import (
     merge_shard_results,
     run_sharded,
@@ -273,3 +277,37 @@ class TestMergeShardResults:
     def test_rejects_empty(self):
         with pytest.raises(SpecError):
             merge_shard_results([])
+
+    @pytest.mark.parametrize("shape", ["phase-split", "colocated"])
+    def test_counters_and_costs_are_shard_sums(self, shape, monkeypatch):
+        parts = []
+
+        def keep_parts(shard_parts):
+            parts.extend(shard_parts)
+            return merge_shard_results(shard_parts)
+
+        monkeypatch.setattr(sharding, "merge_shard_results", keep_parts)
+        if shape == "phase-split":
+            resilience = ResilienceConfig(
+                deadline_s=10.0, queue_timeout_s=1.0, retry="exp_jitter",
+                checkpoint_interval=16, slo_ttft_s=0.1,
+            )
+            report = run_sharded(
+                _pools(2, 4),
+                generate_trace(TraceConfig(rate=30, duration=20, output_tokens=300), seed=7),
+                SimConfig(max_sim_time=600, resilience=resilience), shards=2,
+                failures=TestResilienceParity.FAILURES,
+            )
+        else:
+            report = run_sharded(
+                _colocated(), _trace(), SimConfig(max_sim_time=600), shards=3,
+                shard_policy="round-robin",
+            )
+        shards = [part["report"] for part in parts]
+        assert len(shards) == (2 if shape == "phase-split" else 3)
+        # Every integer field, so a counter the merge forgets to sum fails here.
+        names = [f.name for f in dataclasses.fields(SimReport) if f.type in (int, "int")]
+        for name in names + ["gpu_seconds", "energy_joules", "usd_cost"]:
+            assert getattr(report, name) == sum(getattr(r, name) for r in shards), name
+        if shape == "phase-split":
+            assert report.restarted_requests and report.retries and report.slo_violations

@@ -9,6 +9,13 @@ the memoized :class:`~repro.cluster.engine.AbstractServiceTimeProvider` via a
 ``d0 + d1·tokens`` batch-time fit, and the masses are integrated with a
 fixed-step RK2 (midpoint) scheme in pure python/numpy.
 
+A point costs one python loop of up to ~1000 fixed steps plus numpy report
+assembly.  The loop stays lean: per step with arrivals it records six
+scalars (arrival weight, base TTFT, blocked probability, residual-wait
+scale, e2e base, TBT), and :func:`_ttft_atoms` expands the TTFT atoms (a
+base atom plus four blocked-wait residuals per step) with numpy when the
+report's latencies are read.
+
 The output is the **same** :class:`~repro.cluster.simulator.SimReport` the
 event engines produce (with ``backend="fluid"`` provenance): latency
 quantiles come from the arrival-weighted waiting-time distribution along the
@@ -34,7 +41,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
+from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,6 +73,9 @@ _MAX_LENGTH_ATOMS = 256
 #: the blocked wait uses exponential quantiles ``-ln(1-u)``.
 _UNIFORM_ATOMS = (0.2, 0.4, 0.6, 0.8)
 _EXP_ATOMS = (0.13353, 0.47000, 0.98083, 2.07944)
+_ARRIVAL = attrgetter("arrival")
+_PROMPT = attrgetter("prompt_tokens")
+_OUTPUT = attrgetter("output_tokens")
 
 
 # --------------------------------------------------------------------------
@@ -105,9 +116,10 @@ class TraceProfile:
                 prompt_mean=1.0, output_mean=1.0, total_output_tokens=0.0,
                 output_atoms=np.ones(1),
             )
-        arrivals = np.array([r.arrival for r in trace], dtype=float)
-        prompts = np.array([r.prompt_tokens for r in trace], dtype=float)
-        outputs = np.array([max(1, r.output_tokens) for r in trace], dtype=float)
+        n = len(trace)
+        arrivals = np.fromiter(map(_ARRIVAL, trace), dtype=float, count=n)
+        prompts = np.fromiter(map(_PROMPT, trace), dtype=float, count=n)
+        outputs = np.maximum(np.fromiter(map(_OUTPUT, trace), dtype=float, count=n), 1.0)
         t_end = float(arrivals.max()) + _EPS
         if bin_s is None:
             bin_s = max(1.0, t_end / 64.0)
@@ -118,7 +130,7 @@ class TraceProfile:
         n_atoms = min(_MAX_LENGTH_ATOMS, len(outputs))
         qs = (np.arange(n_atoms) + 0.5) / n_atoms * 100.0
         return TraceProfile(
-            n_requests=len(trace),
+            n_requests=n,
             t_end=t_end,
             bin_s=float(bin_s),
             rates=counts / bin_s,
@@ -184,12 +196,13 @@ class BatchTimeFit:
         return float(np.interp(tokens, self.tokens, self.times))
 
 
-def _batch_grid(max_batch: int, samples: int = 12) -> List[int]:
+@lru_cache(maxsize=256)
+def _batch_grid(max_batch: int, samples: int = 12) -> Tuple[int, ...]:
     """Unique integer batches, geometrically spaced over [1, max_batch]."""
     grid = np.unique(
         np.rint(np.geomspace(1, max(1, max_batch), num=samples)).astype(int)
     )
-    return [int(b) for b in grid]
+    return tuple(int(b) for b in grid)
 
 
 def _averaged(provider: AbstractServiceTimeProvider, n_instances: int, query) -> float:
@@ -339,13 +352,16 @@ class _Trajectory:
     duration: float = 0.0
     busy_prefill: float = 0.0  # instance-seconds (phase-split only)
     busy_decode: float = 0.0
-    # Per-step (arrival-weighted) atoms for the e2e outer product.
+    # Residual-wait quantiles of a blocked arrival, in units of its scale.
+    residual_atoms: Tuple[float, ...] = _UNIFORM_ATOMS
+    # Per arrival step: its weight, the TTFT atom inputs (see _ttft_atoms)
+    # and the e2e outer product's per-step atoms.
     arrive_w: List[float] = field(default_factory=list)
+    ttft_base: List[float] = field(default_factory=list)
+    blocked: List[float] = field(default_factory=list)  # Erlang-C blocked probability
+    wait_scale: List[float] = field(default_factory=list)
     e2e_base: List[float] = field(default_factory=list)  # mean ttft + decode wait
     tbt_at_arrival: List[float] = field(default_factory=list)
-    # TTFT atoms: multiple per step (base + blocked-wait residuals).
-    ttft_w: List[float] = field(default_factory=list)
-    ttft_vals: List[float] = field(default_factory=list)
     # Completion-weighted TBT atoms.
     complete_w: List[float] = field(default_factory=list)
     tbt_at_completion: List[float] = field(default_factory=list)
@@ -370,17 +386,50 @@ def _ledger_states(busy_instance_seconds: float, n: int) -> List[_FluidInstanceS
     return [_FluidInstanceState(busy_time=per, energy_busy=per) for _ in range(n)]
 
 
+def _ttft_atoms(
+    w: np.ndarray,
+    base: np.ndarray,
+    blocked: np.ndarray,
+    scale: np.ndarray,
+    residuals: Sequence[float],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """TTFT atoms ``(values, weights)`` of the arrival steps, in step order.
+
+    Each step contributes its base atom, weighted ``w·(1 - blocked)``, and,
+    only where ``blocked > 1e-6``, one atom ``base + u·scale`` per residual
+    quantile ``u``, each weighted ``w·blocked·0.25`` (the four quantiles
+    share the blocked mass).  The float operations and the atom order are
+    those of a per-step expansion, so the weighted percentiles over these
+    atoms are bit-identical to it.
+    """
+    values = np.empty((len(w), 1 + len(residuals)))
+    values[:, 0] = base
+    values[:, 1:] = base[:, None] + np.asarray(residuals)[None, :] * scale[:, None]
+    weights = np.empty_like(values)
+    weights[:, 0] = w * (1.0 - blocked)
+    weights[:, 1:] = (w * blocked * 0.25)[:, None]
+    keep = np.ones(values.shape, dtype=bool)
+    keep[:, 1:] = (blocked > 1e-6)[:, None]
+    # Row-major boolean indexing keeps the step order, base atom first.
+    return values[keep], weights[keep]
+
+
 def _fluid_latencies(profile: TraceProfile, traj: _Trajectory) -> Tuple[float, ...]:
     """Report latencies of a trajectory that completed at least one request."""
-    ttft_p50, ttft_p99 = _weighted_percentile(
-        np.array(traj.ttft_vals), np.array(traj.ttft_w), (50.0, 99.0)
+    aw = np.array(traj.arrive_w)
+    ttft_vals, ttft_w = _ttft_atoms(
+        aw,
+        np.array(traj.ttft_base),
+        np.array(traj.blocked),
+        np.array(traj.wait_scale),
+        traj.residual_atoms,
     )
+    ttft_p50, ttft_p99 = _weighted_percentile(ttft_vals, ttft_w, (50.0, 99.0))
     cw = np.array(traj.complete_w)
     tbt_c = np.array(traj.tbt_at_completion)
     tbt_mean = float(np.average(tbt_c, weights=cw))
     (tbt_p99,) = _weighted_percentile(tbt_c, cw, (99.0,))
     # e2e: arrival-time atoms × empirical output-length atoms.
-    aw = np.array(traj.arrive_w)
     gw, (gbase, gtbt) = _compress_steps(
         aw, (np.array(traj.e2e_base), np.array(traj.tbt_at_arrival))
     )
@@ -457,8 +506,16 @@ def _integrate_phase_split(
     kv_capacity: float,
 ) -> _Trajectory:
     # The hot loop below is deliberately inlined and memoized: it runs
-    # O(1000) python iterations per simulated trace, and every dict hit it
-    # saves is a direct chunk of the fluid backend's speedup claim.
+    # O(1000) python iterations per simulated trace, and every call, dict
+    # hit or attribute store it saves is a direct chunk of the fluid
+    # backend's speedup claim.  So it calls no helper on a memo hit, keeps
+    # its accumulators in locals, and records four scalars per arrival step
+    # from which _ttft_atoms builds the TTFT atoms with numpy afterwards.
+    # Both integrators step in a ``for`` loop: CPython 3.11 specializes a
+    # function once eight calls or unconditional backward jumps have counted
+    # it warm.  A ``while cond:`` loop ends in a conditional jump, which does
+    # not count, so with one an integrator runs unspecialized (~40% slower)
+    # for its first eight calls.
     n_p, n_d = pools.n_prefill, pools.n_decode
     pm, out_mean = profile.prompt_mean, profile.output_mean
     max_pb = float(pools.max_prefill_batch)
@@ -468,7 +525,7 @@ def _integrate_phase_split(
     nd_max = n_d * cap
     dt = _fluid_dt(profile, horizon)
     half = 0.5 * dt
-    traj = _Trajectory()
+    traj = _Trajectory(residual_atoms=_UNIFORM_ATOMS)
     rates = [float(r) for r in profile.rates]
     srates = _smoothed_rates(rates)
     n_bins = len(rates)
@@ -480,39 +537,34 @@ def _integrate_phase_split(
     mass_floor = 1e-9 * max(1.0, float(profile.n_requests))
     exp, ceil = math.exp, math.ceil
     # Quantized (1/16-request) memo tables over the segmented fits, plus an
-    # Erlang-C memo keyed on (arrival bin, prefill batch quantum).
+    # Erlang-C memo keyed on (arrival bin, prefill batch quantum), packed
+    # into one int: every quantum is below ``e_stride``.
     p_memo: dict = {}
     d_memo: dict = {}
     e_memo: dict = {}
+    e_stride = int(max(max_pb, 1.0) * 16.0 + 0.5) + 1
     td_idle = dfit.time_at(1.0)
 
     aw_app = traj.arrive_w.append
+    tb_app = traj.ttft_base.append
+    bl_app = traj.blocked.append
+    sc_app = traj.wait_scale.append
     eb_app = traj.e2e_base.append
     ta_app = traj.tbt_at_arrival.append
-    tw_app = traj.ttft_w.append
-    tv_app = traj.ttft_vals.append
     cw_app = traj.complete_w.append
     tc_app = traj.tbt_at_completion.append
 
-    def prefill_lookup(qb: int) -> float:
-        tp = p_memo.get(qb)
-        if tp is None:
-            tp = pfit.time_at(qb * 0.0625 * pm)
-            p_memo[qb] = tp
-        return tp
-
     qp = qd = nd = 0.0
+    busy_p = busy_d = completed = duration = 0.0
     progress = 0.0  # cumulative decode token progress ∫ dt / T_d
     cohorts: deque = deque()  # [mass, progress at admission]
     pop_front = cohorts.popleft
     push = cohorts.append
-    step = 0
     max_steps = int(horizon / dt) + 1
     t_next = 0.0
-    while step < max_steps:
+    for step in range(1, max_steps + 1):
         t = t_next
-        t_next = (step + 1) * dt  # drift-free clock
-        step += 1
+        t_next = step * dt  # drift-free clock
         idx = int(t * inv_bin)
         lam = rates[idx] if idx < n_bins else 0.0
         idx_mid = int((t + half) * inv_bin)
@@ -522,7 +574,9 @@ def _integrate_phase_split(
         bp1 = qp * inv_np
         bp1 = 1.0 if bp1 < 1.0 else (max_pb if bp1 > max_pb else bp1)
         qb1 = int(bp1 * 16.0 + 0.5)
-        tp1 = prefill_lookup(qb1)
+        tp1 = p_memo.get(qb1)
+        if tp1 is None:
+            tp1 = p_memo[qb1] = pfit.time_at(qb1 * 0.0625 * pm)
         cap1 = n_p * (qb1 * 0.0625) / tp1
         mu1 = qp / dt + lam
         if mu1 > cap1:
@@ -534,7 +588,9 @@ def _integrate_phase_split(
         bp = 1.0 if bp < 1.0 else (max_pb if bp > max_pb else bp)
         qb = int(bp * 16.0 + 0.5)
         bq = qb * 0.0625
-        tp = prefill_lookup(qb)
+        tp = p_memo.get(qb)
+        if tp is None:
+            tp = p_memo[qb] = pfit.time_at(qb * 0.0625 * pm)
         cap_rate = n_p * bq / tp
         mu_p = qp / dt + lam_mid
         if mu_p > cap_rate:
@@ -542,7 +598,7 @@ def _integrate_phase_split(
         qp = qp + dt * (lam_mid - mu_p)
         if qp < 0.0:
             qp = 0.0
-        traj.busy_prefill += mu_p * tp / bq * dt
+        busy_p += mu_p * tp / bq * dt
 
         # --- decode transport --------------------------------------------
         # Every resident request gains one token per iteration; a cohort
@@ -563,12 +619,11 @@ def _integrate_phase_split(
                 qdk = 16
             td = d_memo.get(qdk)
             if td is None:
-                td = dfit.time_at(qdk * 0.0625)
-                d_memo[qdk] = td
+                td = d_memo[qdk] = dfit.time_at(qdk * 0.0625)
             progress += dt / td
             # A partially-filled instance idles between arrivals: its busy
             # fraction is the discrete-occupancy 1 - e^(-batch).
-            traj.busy_decode += n_act * (1.0 - exp(-bd)) * dt
+            busy_d += n_act * (1.0 - exp(-bd)) * dt
         else:
             td = td_idle
         done = 0.0
@@ -576,8 +631,8 @@ def _integrate_phase_split(
             done += pop_front()[0]
         if done > 0.0:
             nd -= done
-            traj.completed_mass += done
-            traj.duration = t_next
+            completed += done
+            duration = t_next
         # KV-bounded admission from the handoff queue plus fresh prefills.
         mu_adm = mu_p + qd / dt
         free_rate = (nd_max - nd) / dt
@@ -594,24 +649,19 @@ def _integrate_phase_split(
             qd = 0.0
 
         # --- latency samples ---------------------------------------------
+        # Arrival mass implies idx_mid < n_bins, so srates[idx_mid] exists.
         w = lam_mid * dt
         if w > 0.0:
             base = qp / cap_rate + tp
             wait_d = qd * out_mean * td / nd if (qd > 1e-9 and nd > _EPS) else 0.0
-            ekey = (idx_mid, qb)
+            ekey = idx_mid * e_stride + qb
             blocked = e_memo.get(ekey)
             if blocked is None:
-                slam = srates[idx_mid] if idx_mid < n_bins else 0.0
-                blocked = _erlang_c(n_p, slam * tp / bq)
-                e_memo[ekey] = blocked
-            tw_app(w * (1.0 - blocked))
-            tv_app(base)
-            if blocked > 1e-6:
-                share = w * blocked * 0.25
-                for frac in _UNIFORM_ATOMS:
-                    tw_app(share)
-                    tv_app(base + frac * tp)
+                blocked = e_memo[ekey] = _erlang_c(n_p, srates[idx_mid] * tp / bq)
             aw_app(w)
+            tb_app(base)
+            bl_app(blocked)
+            sc_app(tp)  # a blocked arrival waits a uniform residual of one pass
             eb_app(base + 0.5 * blocked * tp + wait_d)
             ta_app(td)
         if done > 0.0:
@@ -619,9 +669,10 @@ def _integrate_phase_split(
             tc_app(td)
         if t_next >= span and qp + qd + nd <= mass_floor:
             break
-    if traj.duration == 0.0:
-        traj.duration = t_next
-    traj.emitted_tokens = traj.completed_mass * out_mean + sum(
+    traj.busy_prefill, traj.busy_decode = busy_p, busy_d
+    traj.completed_mass = completed
+    traj.duration = duration if duration != 0.0 else t_next
+    traj.emitted_tokens = completed * out_mean + sum(
         mass * min(out_mean, progress - admitted_at) for mass, admitted_at in cohorts
     )
     return traj
@@ -648,7 +699,7 @@ def _integrate_colocated(
     cap_total = n * cap
     dt = _fluid_dt(profile, horizon)
     half = 0.5 * dt
-    traj = _Trajectory()
+    traj = _Trajectory(residual_atoms=_EXP_ATOMS)
     rates = [float(r) for r in profile.rates]
     srates = _smoothed_rates(rates)
     n_bins = len(rates)
@@ -666,27 +717,27 @@ def _integrate_colocated(
     td_idle = dfit.time_at(1.0)
 
     aw_app = traj.arrive_w.append
+    tb_app = traj.ttft_base.append
+    bl_app = traj.blocked.append
+    sc_app = traj.wait_scale.append
     eb_app = traj.e2e_base.append
     ta_app = traj.tbt_at_arrival.append
-    tw_app = traj.ttft_w.append
-    tv_app = traj.ttft_vals.append
     cw_app = traj.complete_w.append
     tc_app = traj.tbt_at_completion.append
 
     qa = 0.0  # admission queue (not yet resident)
     prefill_tokens = 0.0  # outstanding prompt tokens among residents
     nd = 0.0  # decode-resident mass
+    busy = completed = duration = 0.0
     progress = 0.0
     cohorts: deque = deque()
     pop_front = cohorts.popleft
     push = cohorts.append
-    step = 0
     max_steps = int(horizon / dt) + 1
     t_next = 0.0
-    while step < max_steps:
+    for step in range(1, max_steps + 1):
         t = t_next
-        t_next = (step + 1) * dt
-        step += 1
+        t_next = step * dt
         idx_mid = int((t + half) * inv_bin)
         lam_mid = rates[idx_mid] if idx_mid < n_bins else 0.0
 
@@ -720,7 +771,7 @@ def _integrate_colocated(
             else:
                 chunk_frac = 0.0
             t_iter = chunk_frac * t_mix + (1.0 - chunk_frac) * t_dec
-            traj.busy_decode += n_act * (1.0 - exp(-resident / n_act)) * dt
+            busy += n_act * (1.0 - exp(-resident / n_act)) * dt
         else:
             n_act = 0
             chunk_frac = 0.0
@@ -734,8 +785,8 @@ def _integrate_colocated(
             done += pop_front()[0]
         if done > 0.0:
             nd -= done
-            traj.completed_mass += done
-            traj.duration = t_next
+            completed += done
+            duration = t_next
         # Chunked prefill: chunk-carrying iterations retire chunk tokens
         # each; finished prompts join the decode batch.
         if prefill_tokens > _EPS and n_act > 0:
@@ -775,21 +826,17 @@ def _integrate_colocated(
             ekey = (idx_mid, servers, int(service * 1e4))
             cached = e_memo.get(ekey)
             if cached is None:
-                slam = srates[idx_mid] if idx_mid < n_bins else 0.0
+                slam = srates[idx_mid]  # arrival mass implies idx_mid < n_bins
                 blocked = _erlang_c(servers, slam * service)
                 gap = servers / service - slam
                 scale = 0.5 / gap if gap > 1e-9 else 12.5 * service
                 cached = (blocked, scale)
                 e_memo[ekey] = cached
             blocked, scale = cached
-            tw_app(w * (1.0 - blocked))
-            tv_app(base)
-            if blocked > 1e-6:
-                share = w * blocked * 0.25
-                for u in _EXP_ATOMS:
-                    tw_app(share)
-                    tv_app(base + u * scale)
             aw_app(w)
+            tb_app(base)
+            bl_app(blocked)
+            sc_app(scale)
             eb_app(base + blocked * scale)
             ta_app(t_iter)
         if done > 0.0:
@@ -797,9 +844,10 @@ def _integrate_colocated(
             tc_app(t_iter)
         if t_next >= span and qa + prefill_tokens + nd <= mass_floor:
             break
-    if traj.duration == 0.0:
-        traj.duration = t_next
-    traj.emitted_tokens = traj.completed_mass * out_mean + sum(
+    traj.busy_decode = busy
+    traj.completed_mass = completed
+    traj.duration = duration if duration != 0.0 else t_next
+    traj.emitted_tokens = completed * out_mean + sum(
         mass * min(out_mean, progress - admitted_at) for mass, admitted_at in cohorts
     )
     return traj

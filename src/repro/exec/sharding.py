@@ -30,8 +30,12 @@ backend, which is milliseconds per run already and whose per-shard
 profiles would lose the queue coupling.
 
 Memory: each shard engine runs with ``metrics="streaming"`` (constant
-memory), so the sharded path's footprint is the ``Request`` objects plus
-one sketch bundle per shard — never the per-completion lists.
+memory) and reads its sub-trace one arrival ahead of its clock, so it holds
+one sketch bundle and one pending arrival — never the per-completion lists
+or its whole backlog of arrivals on the event heap.  The partition itself
+still materializes the whole trace: :func:`shard_requests` returns one list
+per shard, so the sharded path's footprint grows with the ``Request``
+objects of the trace.
 """
 
 from __future__ import annotations
@@ -181,14 +185,18 @@ def _shard_scripted_failures(
 
 def _run_shard(
     deployment: Any,
-    trace: Tuple,
+    trace: Sequence,
     config: Any,
     policies: Any,
     failure_model: Any,
     failure_seed: int,
     failures: Sequence[Tuple[float, str, int, float]] = (),
 ) -> Dict[str, Any]:
-    """Simulate one shard; module-level so worker processes can pickle it."""
+    """Simulate one shard; module-level so worker processes can pickle it.
+
+    The engine reads the sub-trace as an iterator, one arrival ahead of its
+    clock, so its event heap never holds the shard's whole backlog.
+    """
     sim = simulator_for(deployment)(
         deployment,
         config,
@@ -197,7 +205,7 @@ def _run_shard(
         failure_seed=failure_seed,
         failures=failures,
     )
-    report = sim.run(list(trace))
+    report = sim.run(iter(trace))
     shapes = deployment.pool_shapes()
     return {
         "report": report,
@@ -308,6 +316,12 @@ def run_sharded(
     be any iterable (e.g. :func:`~repro.workloads.traces.iter_trace`); it
     is consumed once.  Topology and controller knobs remain whole-cluster
     concerns and are not supported here — use the unsharded simulators.
+
+    Each shard engine reads its sub-trace as an iterator and so follows the
+    engines' iterator-path tie rule: an arrival is pushed only when the one
+    before it pops, so at an equal timestamp it replays after events pushed
+    earlier (a materialized trace's arrivals, pushed up front, replay
+    first).
     """
     config = config or SimConfig()
     check_composition(
@@ -323,7 +337,7 @@ def run_sharded(
             fn=_run_shard,
             args=(
                 sub_deployments[i],
-                tuple(sub_traces[i]),
+                sub_traces[i],
                 config,
                 policies,
                 failure_model,

@@ -4,10 +4,19 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.failures import FailureModel
-from repro.cluster.fluid import BatchTimeFit, TraceProfile
+from repro.cluster.fluid import (
+    _EXP_ATOMS,
+    _UNIFORM_ATOMS,
+    BatchTimeFit,
+    TraceProfile,
+    _ttft_atoms,
+)
 from repro.cluster.resilience import ResilienceConfig
 from repro.cluster.scheduler import ColocatedPool, InstanceSpec, PhasePools
 from repro.cluster.simulator import ColocatedSimulator, ServingSimulator, SimConfig
@@ -253,3 +262,87 @@ class TestBuildingBlocks:
         assert fit.time_at(4.0) == pytest.approx(0.02)
         assert 0.02 < fit.time_at(8.0) < 0.05
         assert fit.d1 > 0
+
+
+def _per_step_atoms(w, base, blocked, scale, residuals):
+    """Reference: the integrators' former per-step TTFT atom expansion."""
+    values, weights = [], []
+    for w_i, base_i, blocked_i, scale_i in zip(w, base, blocked, scale):
+        weights.append(w_i * (1.0 - blocked_i))
+        values.append(base_i)
+        if blocked_i > 1e-6:
+            share = w_i * blocked_i * 0.25
+            for u in residuals:
+                weights.append(share)
+                values.append(base_i + u * scale_i)
+    return np.array(values), np.array(weights)
+
+
+#: Blocked probabilities on both sides of the 1e-6 cut, plus its edges.
+_BLOCKED = st.one_of(
+    st.sampled_from([0.0, 1e-6, math.nextafter(1e-6, 0.0), math.nextafter(1e-6, 1.0), 1.0]),
+    st.floats(min_value=0.0, max_value=2e-6),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+_STEP = st.tuples(
+    st.floats(min_value=1e-9, max_value=1e3),  # arrival weight
+    st.floats(min_value=0.0, max_value=1e3),  # base TTFT
+    _BLOCKED,
+    st.floats(min_value=0.0, max_value=10.0),  # residual-wait scale
+)
+
+
+class TestTtftAtoms:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(_STEP, min_size=1, max_size=40),
+        residuals=st.sampled_from([_UNIFORM_ATOMS, _EXP_ATOMS]),
+    )
+    def test_matches_per_step_expansion(self, steps, residuals):
+        w, base, blocked, scale = (np.array(column) for column in zip(*steps))
+        values, weights = _ttft_atoms(w, base, blocked, scale, residuals)
+        ref_values, ref_weights = _per_step_atoms(*zip(*steps), residuals)
+        assert values.tobytes() == ref_values.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
+
+
+LIGHT = dict(rate=2.0)
+SATURATED = dict(rate=120.0, duration=10.0, output_tokens=200)
+
+
+def _fluid_pin_cases():
+    cases = {}
+    for shape in ("phase_split", "colocated"):
+        for bundle in ("fcfs", "least-loaded", "round-robin"):
+            for load, trace_kw in (("light", LIGHT), ("saturated", SATURATED)):
+                name = f"fluid_{shape}_{bundle.replace('-', '_')}_{load}"
+                cases[name] = (shape, bundle, trace_kw, {})
+        cases[f"fluid_{shape}_horizon"] = (shape, "fcfs", SATURATED, {"max_sim_time": 8.0})
+        cases[f"fluid_{shape}_bucket64"] = (shape, "fcfs", SATURATED, {"context_bucket": 64})
+    return cases
+
+
+#: name -> (shape, policy bundle, trace options, SimConfig options).
+FLUID_PINS = _fluid_pin_cases()
+
+
+def pinned_fluid_report(name):
+    shape, bundle, trace_kw, options = FLUID_PINS[name]
+    simulator, deployment = (
+        (ServingSimulator, pools()) if shape == "phase_split" else (ColocatedSimulator, colo())
+    )
+    config = SimConfig(backend="fluid", **options)
+    return simulator(deployment, config, policies=bundle).run(trace(**trace_kw))
+
+
+class TestPinnedReports:
+    """Every field of these fluid reports is pinned (see ``assert_pinned``).
+
+    The pins hold the outputs of the per-step TTFT atom expansion that
+    ``TestTtftAtoms`` keeps as its reference; the accuracy tests above only
+    bound fluid against event.
+    """
+
+    @pytest.mark.parametrize("name", sorted(FLUID_PINS))
+    def test_matches_pin(self, assert_pinned, name):
+        assert_pinned(name, pinned_fluid_report(name))

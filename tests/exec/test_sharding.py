@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.cluster.engine import EventQueue
 from repro.cluster.resilience import ResilienceConfig
 from repro.cluster.scheduler import ColocatedPool, InstanceSpec, PhasePools
 from repro.cluster.simulator import SimConfig, SimReport
@@ -191,6 +192,38 @@ class TestRunSharded:
     def test_rejects_bad_shard_count(self):
         with pytest.raises(SpecError):
             run_sharded(_pools(), [], shards=0)
+
+    @pytest.mark.parametrize("deployment", [_pools, _colocated], ids=["phase-split", "colocated"])
+    def test_shard_engines_hold_no_arrival_backlog(self, deployment):
+        # Each shard engine reads its sub-trace one arrival ahead of its
+        # clock, so its event heap never holds a second pending arrival.
+        pending = {}  # event queue -> [pending arrivals, most ever pending]
+        push, pop = EventQueue.push, EventQueue.pop
+
+        def spy_push(queue, time, kind, payload=()):
+            if kind == "arrival":
+                count = pending.setdefault(queue, [0, 0])
+                count[0] += 1
+                count[1] = max(count)
+            push(queue, time, kind, payload)
+
+        def spy_pop(queue):
+            event = pop(queue)
+            if event[1] == "arrival":
+                pending[queue][0] -= 1
+            return event
+
+        trace = _trace()
+        EventQueue.push, EventQueue.pop = spy_push, spy_pop
+        try:
+            report = run_sharded(
+                deployment(), trace, SimConfig(max_sim_time=600), shards=2, workers=1
+            )
+        finally:
+            EventQueue.push, EventQueue.pop = push, pop
+        assert report.completed == len(trace)
+        assert len(pending) == 2  # one engine per shard
+        assert [most for _, most in pending.values()] == [1, 1]
 
 
 class TestResilienceParity:

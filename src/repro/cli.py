@@ -59,7 +59,6 @@ from .cluster.control import (
     PowerCapController,
     ReactiveController,
     SLOController,
-    StaticController,
 )
 from .cluster.failures import FailureModel
 from .cluster.placement import PLACERS, placement_hop_stats
@@ -373,16 +372,16 @@ def _cmd_screen(args: argparse.Namespace) -> None:
 
 
 def _build_controller(name: str, args: argparse.Namespace, deployment):
-    """Materialize a named controller from the autoscale CLI knobs."""
+    """Materialize a named controller from the autoscale CLI knobs; ``static`` is ``None``."""
+    key = name.strip().lower().replace("-", "_")
+    if key == "static":
+        return None
     bounds = dict(
         epoch=args.epoch,
         warmup_s=args.warmup,
         min_instances=args.min_instances,
         max_instances=args.max_instances,
     )
-    key = name.strip().lower().replace("-", "_")
-    if key == "static":
-        return StaticController()
     if key == "reactive":
         return ReactiveController(queue_high=args.queue_high, **bounds)
     if key == "slo":
@@ -414,6 +413,10 @@ def _cmd_autoscale(args: argparse.Namespace) -> None:
     if len(args.rates) < 2:
         raise SimulationError("--rates needs at least two segments to be bursty")
     spec = _run_spec(vars(args))
+    # Build every controller before the first run, so a bad bound fails
+    # before any output.
+    controllers = [(name, _build_controller(name, args, spec.deployment))
+                   for name in args.controllers]
     trace = spec.requests()
     print(
         f"{spec.deployment.describe()}\n"
@@ -422,8 +425,7 @@ def _cmd_autoscale(args: argparse.Namespace) -> None:
     )
     reports = {}
     records = []
-    for name in args.controllers:
-        controller = _build_controller(name, args, spec.deployment)
+    for name, controller in controllers:
         report = replace(spec, controller=controller).run(trace)
         label = name
         if report.spawned_instances or report.retired_instances:

@@ -17,8 +17,9 @@ Makes Section 3's systems opportunities executable:
 - :mod:`repro.cluster.engine` — the discrete-event core: event heap,
   instance state machines, memoized service times.
 - :mod:`repro.cluster.control` — the elastic control plane: cluster
-  controllers (static / reactive / slo / forecast / power_cap) stepped
-  inside the event loop to spawn, drain, and DVFS-throttle instances.
+  controllers (reactive / slo / forecast / power_cap; ``static`` is
+  ``None``) stepped inside the event loop to spawn, drain, and
+  DVFS-throttle instances.
 - :mod:`repro.cluster.economics` — gpu-seconds, joules, and $/Mtoken
   accounting behind every report's cost fields.
 - :mod:`repro.cluster.resilience` — the failure-response loop: deadlines,
@@ -54,7 +55,7 @@ from .failures import (
 from .availability import AvailabilityResult, SparePolicy, simulate_availability
 from .memory import DisaggregatedPool, KVPlacementPolicy, MemorySystem
 from .power_manager import ClusterPowerManager, PeakStrategy
-from .scheduler import ColocatedPool, InstanceSpec, PhasePools, PhaseSplitScheduler
+from .scheduler import ColocatedPool, InstanceSpec, PhasePools
 from .policies import POLICY_BUNDLES, PolicyBundle, get_policy_bundle
 from .control import (
     CONTROLLERS,
@@ -66,7 +67,6 @@ from .control import (
     PowerCapController,
     ReactiveController,
     SLOController,
-    StaticController,
     get_controller,
 )
 from .economics import EconomicsConfig, EconomicsReport, PoolEconomics, pool_economics
@@ -138,7 +138,6 @@ __all__ = [
     "ColocatedPool",
     "InstanceSpec",
     "PhasePools",
-    "PhaseSplitScheduler",
     "POLICY_BUNDLES",
     "PolicyBundle",
     "get_policy_bundle",
@@ -151,7 +150,6 @@ __all__ = [
     "PowerCapController",
     "ReactiveController",
     "SLOController",
-    "StaticController",
     "get_controller",
     "RETRY_POLICIES",
     "BrownoutConfig",

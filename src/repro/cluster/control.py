@@ -17,9 +17,11 @@ configurable epoch inside the event loop; each step observes the cluster
   times stretch by ``1/f``) and into the energy accounting (power follows
   the :class:`~repro.hardware.power.DVFSCurve`).
 
-Five controllers are registered by name:
+"No control plane" is ``None``: every controller object steps, on a
+positive ``epoch``.  Four controllers plus the ``static`` name are
+registered:
 
-- ``static``   — never steps; bit-identical to a controller-free run;
+- ``static``   — fixed capacity: resolves to ``None``, a controller-free run;
 - ``reactive`` — queue-depth / KV-occupancy thresholds with hysteresis;
 - ``slo``      — scales on rolling TTFT/TBT percentile violations;
 - ``forecast`` — tracks a scheduled rate profile (provision *ahead* of
@@ -56,7 +58,6 @@ __all__ = [
     "ControlAction",
     "NO_ACTION",
     "ClusterController",
-    "StaticController",
     "ReactiveController",
     "SLOController",
     "ForecastController",
@@ -146,10 +147,9 @@ NO_ACTION = ControlAction()
 class ClusterController(abc.ABC):
     """Steps the cluster's capacity/clock on a fixed epoch.
 
-    ``epoch`` is the stepping period in simulated seconds; ``epoch == 0``
-    means the controller is never stepped (the engine schedules no
-    controller events at all, keeping the event stream — and therefore
-    every report — bit-identical to a controller-free run).
+    ``epoch`` is the stepping period in simulated seconds and must be
+    positive: a run without a control plane passes ``controller=None``
+    (or the ``static`` name, which resolves to it).
 
     ``min_instances`` / ``max_instances`` bound each pool's provisioned
     instance count; ``warmup_s`` is the spawn-to-serving delay (weight
@@ -157,16 +157,20 @@ class ClusterController(abc.ABC):
     """
 
     name = "controller"
-    epoch: float = 30.0
-    warmup_s: float = 30.0
-    min_instances: int = 1
-    max_instances: int = 8
 
-    def _validate_bounds(self) -> None:
-        if self.epoch < 0 or self.warmup_s < 0:
-            raise SpecError("epoch and warmup_s must be non-negative")
-        if self.min_instances < 1 or self.max_instances < self.min_instances:
+    def __init__(
+        self, epoch: float, warmup_s: float, min_instances: int, max_instances: int
+    ) -> None:
+        if epoch <= 0:
+            raise SpecError("epoch must be positive; controller=None runs without one")
+        if warmup_s < 0:
+            raise SpecError("warmup_s must be non-negative")
+        if min_instances < 1 or max_instances < min_instances:
             raise SpecError("need 1 <= min_instances <= max_instances")
+        self.epoch = epoch
+        self.warmup_s = warmup_s
+        self.min_instances = min_instances
+        self.max_instances = max_instances
 
     @abc.abstractmethod
     def step(self, obs: ControlObservation) -> ControlAction:
@@ -185,106 +189,89 @@ class ClusterController(abc.ABC):
         )
 
 
-class StaticController(ClusterController):
-    """Fixed capacity: the seed behaviour, as a (never-stepped) controller.
-
-    ``epoch`` is 0, so the engine schedules no controller events and every
-    report is bit-identical to passing ``controller=None``.
-    """
-
-    name = "static"
-
-    def __init__(self) -> None:
-        self.epoch = 0.0
-
-    def step(self, obs: ControlObservation) -> ControlAction:  # pragma: no cover
-        return NO_ACTION
+#: :class:`ReactiveController` thresholds: KV occupancy that scales a pool
+#: up, and the occupancy and busy fraction of alive instances a quiet epoch
+#: stays at or under.
+OCCUPANCY_HIGH = 0.85
+OCCUPANCY_LOW = 0.30
+BUSY_LOW = 0.5
 
 
 class ReactiveController(ClusterController):
-    """Threshold autoscaler with hysteresis.
+    """Threshold autoscaler with hysteresis, over every pool.
 
-    Scale **up** a pool when its queue backlog per incoming instance
-    reaches ``queue_high`` requests or its KV occupancy reaches
-    ``occupancy_high``.  Scale **down** only after ``calm_epochs``
-    consecutive quiet epochs (empty queue, occupancy below
-    ``occupancy_low``, at most ``busy_low`` of the alive instances
-    holding work) — the hysteresis that stops thrashing on bursty
-    arrivals.  Each scale-down resets the calm counter, so capacity
-    bleeds off one ``step_size`` per quiet window rather than
-    collapsing at once.
+    Scale **up** a pool by one instance when its queue backlog per
+    incoming instance reaches ``queue_high`` requests or its KV occupancy
+    reaches :data:`OCCUPANCY_HIGH`.  Scale **down** by one only after
+    ``calm_epochs`` consecutive quiet epochs (empty queue, occupancy at
+    most :data:`OCCUPANCY_LOW`, at most :data:`BUSY_LOW` of the alive
+    instances holding work) — the hysteresis that stops thrashing on
+    bursty arrivals.  Each scale-down resets the calm counter, so capacity
+    bleeds off one instance per quiet window rather than collapsing at
+    once.
     """
 
     name = "reactive"
 
     def __init__(
         self,
-        pools: Optional[Sequence[str]] = None,
         queue_high: float = 4.0,
-        occupancy_high: float = 0.85,
-        occupancy_low: float = 0.30,
-        busy_low: float = 0.5,
         calm_epochs: int = 3,
-        step_size: int = 1,
         epoch: float = 10.0,
         warmup_s: float = 30.0,
         min_instances: int = 1,
         max_instances: int = 8,
     ) -> None:
-        if queue_high <= 0 or step_size < 1 or calm_epochs < 1:
-            raise SpecError("queue_high, step_size, and calm_epochs must be positive")
-        if not 0.0 <= occupancy_low <= occupancy_high <= 1.0:
-            raise SpecError("need 0 <= occupancy_low <= occupancy_high <= 1")
-        self.pools = tuple(pools) if pools is not None else None
+        super().__init__(epoch, warmup_s, min_instances, max_instances)
+        if queue_high <= 0 or calm_epochs < 1:
+            raise SpecError("queue_high and calm_epochs must be positive")
         self.queue_high = queue_high
-        self.occupancy_high = occupancy_high
-        self.occupancy_low = occupancy_low
-        self.busy_low = busy_low
         self.calm_epochs = calm_epochs
-        self.step_size = step_size
-        self.epoch = epoch
-        self.warmup_s = warmup_s
-        self.min_instances = min_instances
-        self.max_instances = max_instances
-        self._validate_bounds()
         self._calm: Dict[str, int] = {}
 
     def step(self, obs: ControlObservation) -> ControlAction:
         scale: Dict[str, int] = {}
         for name, stats in obs.pools.items():
-            if self.pools is not None and name not in self.pools:
-                continue
             incoming = stats.incoming
             pressure = stats.queue_depth / max(1, incoming)
-            if pressure >= self.queue_high or stats.occupancy >= self.occupancy_high:
+            if pressure >= self.queue_high or stats.occupancy >= OCCUPANCY_HIGH:
                 self._calm[name] = 0
                 if incoming < self.max_instances:
-                    scale[name] = min(self.step_size, self.max_instances - incoming)
+                    scale[name] = 1
             elif (
                 stats.queue_depth == 0
-                and stats.occupancy <= self.occupancy_low
-                and stats.busy <= self.busy_low * max(1, stats.alive)
+                and stats.occupancy <= OCCUPANCY_LOW
+                and stats.busy <= BUSY_LOW * max(1, stats.alive)
             ):
                 calm = self._calm.get(name, 0) + 1
                 self._calm[name] = calm
                 if calm >= self.calm_epochs and incoming > self.min_instances:
-                    scale[name] = -min(self.step_size, incoming - self.min_instances)
+                    scale[name] = -1
                     self._calm[name] = 0
             else:
                 self._calm[name] = 0
         return ControlAction(scale=scale) if scale else NO_ACTION
 
 
+#: :class:`SLOController` statistics: the latency percentile it holds to
+#: its targets, the fraction of each target under which an epoch counts as
+#: comfortable, and the rolling window of TTFT/TBT samples it reads.
+SLO_PERCENTILE = 99.0
+SLO_RELAX_MARGIN = 0.5
+SLO_WINDOW = 256
+
+
 class SLOController(ClusterController):
     """Scales on rolling latency-percentile violations.
 
-    Keeps a rolling window of the last ``window`` TTFT and TBT samples.
-    A TTFT percentile above ``ttft_target`` adds capacity to the pool
-    that produces first tokens (``prefill`` when phase-split, else the
-    colocated pool); a TBT violation scales the decode pool.  When both
-    percentiles sit below ``relax_margin`` of their targets for
-    ``calm_epochs`` consecutive epochs, one instance is drained from the
-    largest scalable pool.
+    Keeps a rolling window of the last :data:`SLO_WINDOW` TTFT and TBT
+    samples.  A TTFT percentile (:data:`SLO_PERCENTILE`) above
+    ``ttft_target`` adds capacity to the pool that produces first tokens
+    (``prefill`` when phase-split, else the colocated pool); a TBT
+    violation scales the decode pool.  When both percentiles sit at or
+    below :data:`SLO_RELAX_MARGIN` of their targets for ``calm_epochs``
+    consecutive epochs, one instance is drained from the largest scalable
+    pool.
     """
 
     name = "slo"
@@ -293,35 +280,22 @@ class SLOController(ClusterController):
         self,
         ttft_target: float = 1.0,
         tbt_target: float = 0.05,
-        percentile: float = 99.0,
-        relax_margin: float = 0.5,
         calm_epochs: int = 4,
-        window: int = 256,
         min_samples: int = 8,
         epoch: float = 15.0,
         warmup_s: float = 30.0,
         min_instances: int = 1,
         max_instances: int = 8,
     ) -> None:
+        super().__init__(epoch, warmup_s, min_instances, max_instances)
         if ttft_target <= 0 or tbt_target <= 0:
             raise SpecError("SLO targets must be positive")
-        if not 0.0 < percentile <= 100.0:
-            raise SpecError("percentile must be in (0, 100]")
-        if not 0.0 < relax_margin < 1.0:
-            raise SpecError("relax_margin must be in (0, 1)")
         self.ttft_target = ttft_target
         self.tbt_target = tbt_target
-        self.percentile = percentile
-        self.relax_margin = relax_margin
         self.calm_epochs = calm_epochs
         self.min_samples = min_samples
-        self.epoch = epoch
-        self.warmup_s = warmup_s
-        self.min_instances = min_instances
-        self.max_instances = max_instances
-        self._validate_bounds()
-        self._ttfts: Deque[float] = deque(maxlen=window)
-        self._tbts: Deque[float] = deque(maxlen=window)
+        self._ttfts: Deque[float] = deque(maxlen=SLO_WINDOW)
+        self._tbts: Deque[float] = deque(maxlen=SLO_WINDOW)
         self._calm = 0
 
     def _first_token_pool(self, pools: Mapping[str, PoolStats]) -> str:
@@ -335,12 +309,12 @@ class SLOController(ClusterController):
         self._tbts.extend(obs.window_tbts)
         scale: Dict[str, int] = {}
         ttft_p = (
-            float(np.percentile(list(self._ttfts), self.percentile))
+            float(np.percentile(list(self._ttfts), SLO_PERCENTILE))
             if len(self._ttfts) >= self.min_samples
             else 0.0
         )
         tbt_p = (
-            float(np.percentile(list(self._tbts), self.percentile))
+            float(np.percentile(list(self._tbts), SLO_PERCENTILE))
             if len(self._tbts) >= self.min_samples
             else 0.0
         )
@@ -359,8 +333,8 @@ class SLOController(ClusterController):
             self._calm = 0
             return ControlAction(scale=scale) if scale else NO_ACTION
         comfortable = (
-            ttft_p <= self.relax_margin * self.ttft_target
-            and tbt_p <= self.relax_margin * self.tbt_target
+            ttft_p <= SLO_RELAX_MARGIN * self.ttft_target
+            and tbt_p <= SLO_RELAX_MARGIN * self.tbt_target
             and len(self._ttfts) >= self.min_samples
         )
         if not comfortable:
@@ -385,11 +359,10 @@ class ForecastController(ClusterController):
 
     ``profile`` is a stepwise schedule of ``(start_time_s, multiplier)``
     pairs: the expected arrival rate relative to the baseline the pools
-    were provisioned for.  Each epoch the controller looks ``lead_s``
-    ahead (default: the warm-up delay, so capacity lands *as* the ramp
-    arrives, not after it) and scales every pool toward
-    ``ceil(baseline * multiplier * headroom_factor)``.  Baselines default
-    to each pool's provisioned count at the first step;
+    were provisioned for.  Each epoch the controller looks the warm-up
+    delay ahead, so capacity lands *as* the ramp arrives, not after it,
+    and scales every pool toward ``ceil(baseline * multiplier)``.
+    Baselines default to each pool's provisioned count at the first step;
     :meth:`from_plan` seeds them from a
     :class:`~repro.cluster.provisioning.ProvisioningPlan` instead.
     """
@@ -400,30 +373,20 @@ class ForecastController(ClusterController):
         self,
         profile: Sequence[Tuple[float, float]] = ((0.0, 1.0),),
         base_counts: Optional[Mapping[str, int]] = None,
-        lead_s: Optional[float] = None,
-        headroom_factor: float = 1.0,
         epoch: float = 15.0,
         warmup_s: float = 30.0,
         min_instances: int = 1,
         max_instances: int = 8,
     ) -> None:
+        super().__init__(epoch, warmup_s, min_instances, max_instances)
         if not profile:
             raise SpecError("profile must be non-empty")
         self.profile = tuple(sorted((float(t), float(m)) for t, m in profile))
         if any(m < 0 for _, m in self.profile):
             raise SpecError("profile multipliers must be non-negative")
-        if headroom_factor <= 0:
-            raise SpecError("headroom_factor must be positive")
         self.base_counts: Optional[Dict[str, int]] = (
             dict(base_counts) if base_counts is not None else None
         )
-        self.lead_s = lead_s
-        self.headroom_factor = headroom_factor
-        self.epoch = epoch
-        self.warmup_s = warmup_s
-        self.min_instances = min_instances
-        self.max_instances = max_instances
-        self._validate_bounds()
 
     @classmethod
     def from_plan(
@@ -446,14 +409,13 @@ class ForecastController(ClusterController):
     def step(self, obs: ControlObservation) -> ControlAction:
         if self.base_counts is None:
             self.base_counts = {name: max(1, s.provisioned) for name, s in obs.pools.items()}
-        lead = self.lead_s if self.lead_s is not None else self.warmup_s
-        mult = self.multiplier_at(obs.time + lead)
+        mult = self.multiplier_at(obs.time + self.warmup_s)
         scale: Dict[str, int] = {}
         for name, stats in obs.pools.items():
             base = self.base_counts.get(name)
             if base is None:
                 continue
-            desired = math.ceil(base * mult * self.headroom_factor)
+            desired = math.ceil(base * mult)
             delta = self._clamped_delta(stats, desired)
             if delta:
                 scale[name] = delta
@@ -469,10 +431,9 @@ class PowerCapController(ClusterController):
     (:meth:`~repro.hardware.power.DVFSCurve.clock_for_power`) — the
     "down-clock a portion of the SMs" move that Section 3 argues Lite
     clusters make at per-device granularity.  If even the DVFS floor
-    exceeds the cap and ``allow_drain`` is set, it additionally drains
-    instances (largest pool first) until the floored fleet fits.  When
-    the window ends, the clock returns to 1.0 and drained pools are
-    restored to their pre-cap baselines.
+    exceeds the cap, it also drains instances (largest pool first) until
+    the floored fleet fits.  When the window ends, the clock returns to
+    1.0 and drained pools are restored to their pre-cap baselines.
     """
 
     name = "power_cap"
@@ -481,23 +442,17 @@ class PowerCapController(ClusterController):
         self,
         manager: Optional[ClusterPowerManager] = None,
         caps: Sequence[Tuple[float, float, float]] = (),
-        allow_drain: bool = True,
         epoch: float = 10.0,
         warmup_s: float = 30.0,
         min_instances: int = 1,
         max_instances: int = 64,
     ) -> None:
+        super().__init__(epoch, warmup_s, min_instances, max_instances)
         for start, end, watts in caps:
             if end <= start or watts <= 0:
                 raise SpecError("caps need end > start and positive watts")
         self.manager = manager
         self.caps = tuple((float(s), float(e), float(w)) for s, e, w in caps)
-        self.allow_drain = allow_drain
-        self.epoch = epoch
-        self.warmup_s = warmup_s
-        self.min_instances = min_instances
-        self.max_instances = max_instances
-        self._validate_bounds()
         self._baseline: Optional[Dict[str, int]] = None
 
     def cap_at(self, time: float) -> Optional[float]:
@@ -536,8 +491,6 @@ class PowerCapController(ClusterController):
         # Even the DVFS floor blows the cap: drain capacity until the
         # floored fleet fits (largest pools shed first, deterministically).
         frequency = curve.min_clock_ratio
-        if not self.allow_drain:
-            return ControlAction(frequency=frequency)
         floor_power = tdp * curve.power_ratio(frequency)
         budget_gpus = int(cap // floor_power)
         scale: Dict[str, int] = {}
@@ -558,7 +511,7 @@ class PowerCapController(ClusterController):
 
 
 CONTROLLERS: Registry = Registry("cluster controller")
-CONTROLLERS.register("static", StaticController)
+CONTROLLERS.register("static", lambda: None)  # fixed capacity: no control plane
 CONTROLLERS.register("reactive", ReactiveController)
 CONTROLLERS.register("slo", SLOController)
 CONTROLLERS.register("forecast", ForecastController)
@@ -570,13 +523,13 @@ def get_controller(
 ) -> Optional[ClusterController]:
     """Resolve a controller: pass instances through, look names up.
 
-    ``None`` stays ``None`` (no control plane at all — the engine
-    schedules no controller events, exactly like the ``static`` name).
+    ``None`` and the ``static`` name resolve to ``None``: no control plane,
+    so the engine schedules no controller events.
 
     >>> get_controller(None) is None
     True
-    >>> get_controller("static").epoch
-    0.0
+    >>> get_controller("static") is None
+    True
     """
     if spec is None:
         return None

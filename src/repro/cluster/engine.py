@@ -90,6 +90,10 @@ __all__ = [
 #: duration-normalized metric.
 _BOOKKEEPING_EVENTS = frozenset({"failure", "recovered", "controller", "spawn_ready"})
 
+#: Floor on a decode (or mixed) iteration's latency, in seconds: it guards
+#: the tick loops against zero-length iterations.
+MIN_DECODE_INTERVAL = 1e-4
+
 
 def require_kv_headroom(instance: InstanceSpec, pool_label: str) -> int:
     """Return the instance's KV token capacity, raising if it has none.
@@ -660,13 +664,13 @@ class _EngineBase:
     pools' own event handlers.
 
     The loop owns the **control plane**: when a
-    :class:`~repro.cluster.control.ClusterController` with a positive
-    epoch is attached, a ``controller`` event fires every epoch, observes
-    the cluster, and applies the returned action — spawning instances
-    (with warm-up), draining them gracefully, or setting the DVFS
-    frequency scalar on every service-time provider.  ``controller=None``
-    (or the ``static`` controller) schedules no events at all, keeping the
-    event stream bit-identical to the pre-control-plane engine.
+    :class:`~repro.cluster.control.ClusterController` is attached, a
+    ``controller`` event fires every epoch, observes the cluster, and
+    applies the returned action — spawning instances (with warm-up),
+    draining them gracefully, or setting the DVFS frequency scalar on every
+    service-time provider.  ``controller=None`` schedules no events at all
+    and keeps no SLO window, so the event stream stays bit-identical to the
+    pre-control-plane engine.
 
     Decode ticks run inline inside handlers (see the module docstring), and
     every chain of them ends by pushing its instance's next step or by
@@ -1006,7 +1010,7 @@ class _EngineBase:
             self._feed_arrival(arrival_iter)
         for time, pool, index, duration in self.failures:
             self.events.push(time, "failure", (pool, index, duration))
-        if self.controller is not None and self.controller.epoch > 0:
+        if self.controller is not None:
             self.events.push(self.controller.epoch, "controller", ())
         handlers = self.handlers()
         horizon = self.config.max_sim_time
@@ -1103,8 +1107,7 @@ class _EngineBase:
     def _drain_floor(self, states: list) -> bool:
         """True when one more drain would leave the pool below its floor."""
         candidates = sum(1 for s in states if not s.retired and not s.draining)
-        floor = max(1, self.controller.min_instances) if self.controller else 1
-        return candidates <= floor
+        return candidates <= self.controller.min_instances
 
     def _retire_state(self, state, now: float) -> None:
         state.draining = True
@@ -1296,7 +1299,7 @@ class PhaseSplitEngine(_EngineBase):
             context = int(inst.context_sum / batch)
             latency = max(
                 self.decode_provider.decode_time(batch, max(1, context), instance=idx),
-                self.config.min_decode_interval,
+                MIN_DECODE_INTERVAL,
             )
             now = self._charge(inst, batch, latency, now)
             self._complete_due(inst, now)
@@ -1401,7 +1404,7 @@ class ColocatedEngine(_EngineBase):
             prompt_len = inst.current.request.prompt_tokens if inst.current else 1
             latency = max(
                 self.provider.mixed_time(batch, max(1, context), chunk, prompt_len, instance=idx),
-                self.config.min_decode_interval,
+                MIN_DECODE_INTERVAL,
             )
             # Chunk-only iterations (batch == 0) are charged and logged too: a
             # prompt finishing below joins with ``start_iter`` after this

@@ -179,7 +179,6 @@ def sample_failure_schedule(
     horizon: float,
     seed: int = 0,
     gpus_per_instance: int = 1,
-    rng: np.random.Generator | None = None,
 ) -> List[Tuple[float, str, int, float]]:
     """Sample a stochastic failure schedule for one instance pool.
 
@@ -189,7 +188,7 @@ def sample_failure_schedule(
     before the clock restarts.  The result is a sorted list of
     ``(time, pool, index, repair_duration)`` tuples — exactly the scripted
     format the serving simulators accept, so sampled and hand-written
-    schedules compose.  Deterministic for a given ``seed`` (or ``rng``).
+    schedules compose.  Deterministic for a given ``seed``.
 
     >>> schedule = sample_failure_schedule(
     ...     FailureModel(mtbf=200.0, mttr=50.0), "decode", 2, horizon=1000.0, seed=7)
@@ -203,23 +202,7 @@ def sample_failure_schedule(
         raise SpecError("n_instances and gpus_per_instance must be positive")
     if horizon <= 0:
         raise SpecError("horizon must be positive")
-    if rng is None:
-        # Seeded sampling is pure, so identical parameters always yield the
-        # identical schedule — memoize it.  Ensemble replicas and repeated
-        # sweep points with the same (model, horizon, seed) then share one
-        # draw instead of re-running the Weibull loop each time.
-        return list(_cached_schedule(model, pool, n_instances, horizon, seed, gpus_per_instance))
-    return _sample_schedule(model, pool, n_instances, horizon, gpus_per_instance, rng)
-
-
-def _sample_schedule(
-    model: FailureModel,
-    pool: str,
-    n_instances: int,
-    horizon: float,
-    gpus_per_instance: int,
-    rng: np.random.Generator,
-) -> List[Tuple[float, str, int, float]]:
+    rng = np.random.default_rng(seed)
     schedule: List[Tuple[float, str, int, float]] = []
     for index in range(n_instances):
         t = 0.0
@@ -231,39 +214,6 @@ def _sample_schedule(
             schedule.append((t, pool, index, model.mttr))
             t += model.mttr
     return sorted(schedule)
-
-
-#: Upper bound on memoized seeded schedules.  The memo exists so ensemble
-#: replicas and repeated sweep points sharing (model, pool, size, horizon,
-#: seed) reuse one Weibull draw; LRU-bounding it means a daemon-style
-#: process sweeping many distinct seeds evicts old draws instead of growing
-#: without limit.  256 entries cover any realistic sweep working set while
-#: capping worst-case retention at a few MiB of schedule tuples.
-SCHEDULE_CACHE_MAX = 256
-
-
-@lru_cache(maxsize=SCHEDULE_CACHE_MAX)
-def _cached_schedule(
-    model: FailureModel,
-    pool: str,
-    n_instances: int,
-    horizon: float,
-    seed: int,
-    gpus_per_instance: int,
-) -> Tuple[Tuple[float, str, int, float], ...]:
-    rng = np.random.default_rng(seed)
-    return tuple(_sample_schedule(model, pool, n_instances, horizon, gpus_per_instance, rng))
-
-
-def schedule_cache_info():
-    """Statistics of the seeded-schedule memo (for tests/benchmarks).
-
-    The returned ``functools.CacheInfo`` carries hits/misses plus the
-    cache's bound: ``maxsize`` equals :data:`SCHEDULE_CACHE_MAX` and
-    ``currsize`` can never exceed it (least-recently-used draws are
-    evicted first).
-    """
-    return _cached_schedule.cache_info()
 
 
 # --- component-level faults ---------------------------------------------------

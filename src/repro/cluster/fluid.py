@@ -6,8 +6,9 @@ discrete-event run.  This module replaces the event loop with a coupled
 queue-mass / KV-token-mass fluid model in the style of Fluid-ODE LLM-serving
 simulators: arrivals come from a binned trace profile, completion rates from
 the memoized :class:`~repro.cluster.engine.AbstractServiceTimeProvider` via a
-``d0 + d1·tokens`` batch-time fit, and the masses are integrated with a
-fixed-step RK2 (midpoint) scheme in pure python/numpy.
+piecewise-linear batch-time fit through exact provider samples, and the
+masses are integrated with a fixed-step RK2 (midpoint) scheme in pure
+python/numpy.
 
 A point costs one python loop of up to ~1000 fixed steps plus numpy report
 assembly.  The loop stays lean: per step with arrivals it records six
@@ -167,29 +168,23 @@ class TraceProfile:
 
 @dataclass(frozen=True)
 class BatchTimeFit:
-    """``d0 + d1·tokens`` batch-time fit sampled from a service-time provider.
+    """Batch-time fit sampled from a service-time provider.
 
-    ``d0``/``d1`` are the global least-squares affine coefficients (the
-    Fluid-ODE closure); ``time_at`` evaluates the *segmented* fit — linear
-    interpolation between the exact provider samples — so the completion
-    rate stays accurate even where the roofline curve bends (memory-bound
-    plateau into compute-bound slope).
+    Where the Fluid-ODE closure fits one global affine ``d0 + d1·tokens``,
+    ``time_at`` evaluates a *segmented* fit — linear interpolation between
+    the exact provider samples — so the completion rate stays accurate even
+    where the roofline curve bends (memory-bound plateau into compute-bound
+    slope).
     """
 
     tokens: np.ndarray
     times: np.ndarray
-    d0: float
-    d1: float
 
     @staticmethod
     def from_samples(tokens: Sequence[float], times: Sequence[float]) -> "BatchTimeFit":
-        tok = np.asarray(tokens, dtype=float)
-        tim = np.asarray(times, dtype=float)
-        if len(tok) >= 2:
-            d1, d0 = np.polyfit(tok, tim, 1)
-        else:
-            d0, d1 = 0.0, float(tim[0] / max(tok[0], 1.0))
-        return BatchTimeFit(tokens=tok, times=tim, d0=float(d0), d1=float(d1))
+        return BatchTimeFit(
+            tokens=np.asarray(tokens, dtype=float), times=np.asarray(times, dtype=float)
+        )
 
     def time_at(self, tokens: float) -> float:
         """Segmented batch time at a (fractional) token count."""
@@ -251,7 +246,7 @@ def fit_mixed(
     prompt_len: int,
     n_instances: int,
 ) -> BatchTimeFit:
-    """SARATHI mixed-iteration time vs decode batch (chunk cost in ``d0``)."""
+    """SARATHI mixed-iteration time vs decode batch (the chunk's cost included)."""
     batches = _batch_grid(max_batch)
     times = [
         _averaged(

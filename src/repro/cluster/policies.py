@@ -20,8 +20,9 @@ Four policy axes:
 A :class:`PolicyBundle` groups one of each.  Bundles and individual
 policies are registered in :class:`repro._registry.Registry` catalogues, so
 simulators and the CLI accept them by name.  The ``"fcfs"`` bundle
-reproduces the seed :class:`repro.cluster.scheduler.PhaseSplitScheduler`
-behaviour exactly.
+reproduces the seed simulator's scheduling exactly: FIFO prefill batches
+of at most ``max_prefill_batch`` requests and head-of-line decode
+admission within the free slots and KV-token budget.
 
 >>> bundle = get_policy_bundle("fcfs")
 >>> bundle.routing.order([3.0, 1.0, 2.0])
@@ -337,7 +338,7 @@ def _bundle_factory(
     return build
 
 
-# "fcfs" reproduces the seed PhaseSplitScheduler exactly.  "sjf" switches
+# "fcfs" reproduces the seed simulator's scheduling exactly.  "sjf" switches
 # both shortest-first axes (prefill batching + decode admission); the
 # remaining bundles vary a single axis against the FCFS baseline.
 POLICY_BUNDLES.register("fcfs", _bundle_factory("fcfs"))

@@ -3,9 +3,9 @@
 The paper's case study assumes *"different phases can execute on different
 Lite-GPU clusters"* (citing Splitwise / DistServe).  This module provides the
 static description of the deployments the simulator can run — how many
-instances of which GPU type serve which phase — plus the seed admission
-logic; the dynamics live in :mod:`repro.cluster.engine` and
-:mod:`repro.cluster.simulator`.
+instances of which GPU type serve which phase; the scheduling decisions
+live in :mod:`repro.cluster.policies` and the dynamics in
+:mod:`repro.cluster.engine` and :mod:`repro.cluster.simulator`.
 
 Two shapes:
 
@@ -17,20 +17,15 @@ An **instance** is one tensor-parallel replica of the model (``n_gpus`` GPUs
 of one type).  Its performance envelope comes straight from the analytical
 model: prefill time as a function of batch, decode iteration time as a
 function of (batch, context), and the KV-token capacity bound.
-
-:class:`PhaseSplitScheduler` is kept as the seed's admission API; its
-behaviour is exactly the ``"fcfs"`` bundle of
-:mod:`repro.cluster.policies`, of which it is now a thin wrapper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from ..core.inference import (
     DecodeWorkload,
-    PhaseResult,
     PrefillWorkload,
     decode_iteration,
     prefill_pass,
@@ -41,7 +36,6 @@ from ..errors import SpecError
 from ..hardware.gpu import GPUSpec
 from ..workloads.transformer import ModelSpec
 from .placement import PoolShape
-from .policies import FCFSAdmission
 
 
 @dataclass(frozen=True)
@@ -183,42 +177,3 @@ class ColocatedPool:
             f"{self.instance.gpu.name}] for {self.instance.model.name} "
             f"(chunk {self.chunk_tokens} tok)"
         )
-
-
-class PhaseSplitScheduler:
-    """Admission decisions for the two pools (used by the simulator).
-
-    Prefill: FIFO batching up to ``max_prefill_batch``.  Decode: continuous
-    batching bounded by sequence slots and the instance's KV-token capacity.
-    """
-
-    def __init__(self, pools: PhasePools) -> None:
-        self.pools = pools
-        self._decode_capacity = pools.decode.kv_token_capacity()
-        if self._decode_capacity <= 0:
-            raise SpecError("decode instances have no KV capacity headroom")
-
-    @property
-    def decode_kv_capacity(self) -> int:
-        """Per-instance KV token budget."""
-        return self._decode_capacity
-
-    def form_prefill_batch(self, queue_len: int) -> int:
-        """How many queued requests one free prefill instance should take."""
-        if queue_len < 0:
-            raise SpecError("queue_len must be non-negative")
-        return min(queue_len, self.pools.max_prefill_batch)
-
-    def decode_admission(
-        self,
-        queued_tokens: List[int],
-        occupied_slots: int,
-        occupied_tokens: int,
-    ) -> int:
-        """How many queued sequences (with final footprints
-        ``queued_tokens``) a decode instance can admit now."""
-        if occupied_slots < 0 or occupied_tokens < 0:
-            raise SpecError("occupancy must be non-negative")
-        slots = self.pools.max_decode_batch - occupied_slots
-        budget = self._decode_capacity - occupied_tokens
-        return len(FCFSAdmission().admit_footprints(queued_tokens, slots, budget))

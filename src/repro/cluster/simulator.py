@@ -133,7 +133,7 @@ def _elastic_shapes(
 ) -> Tuple[Tuple[PoolShape, ...], Dict[str, int]]:
     """Pool shapes plus per-pool spawn limits for an elastic deployment.
 
-    With an active controller and a topology, every pool's shape is
+    With a controller and a topology, every pool's shape is
     expanded toward the controller's ``max_instances`` as far as free
     topology GPUs allow — the placer then pre-places the growth groups so
     a controller spawn lands on concrete, disjoint GPU indices (and the
@@ -143,7 +143,7 @@ def _elastic_shapes(
     :class:`Placement` defines the limits directly via its group counts.
     """
     shapes = tuple(shapes)
-    if controller is None or controller.epoch <= 0:
+    if controller is None:
         return shapes, {}
     if isinstance(placer, Placement):
         return shapes, {pool: len(placer.groups(pool)) for pool in placer.pools}
@@ -213,7 +213,6 @@ class SimConfig:
     """
 
     max_sim_time: float = 3600.0
-    min_decode_interval: float = 1e-4  # guard against zero-length iterations
     context_bucket: int = 1
     metrics: str = "exact"
     resilience: Optional[ResilienceConfig] = None
@@ -222,8 +221,6 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.max_sim_time <= 0:
             raise SpecError("max_sim_time must be positive")
-        if self.min_decode_interval <= 0:
-            raise SpecError("min_decode_interval must be positive")
         if self.context_bucket < 1:
             raise SpecError("context_bucket must be at least 1")
         if self.metrics not in ("exact", "streaming"):
@@ -431,7 +428,7 @@ def _failure_limit(
     """
     if pool in spawn_limits:
         return spawn_limits[pool]
-    if controller is not None and controller.epoch > 0:
+    if controller is not None:
         return max(initial, controller.max_instances)
     return initial
 
@@ -466,7 +463,6 @@ def check_composition(
     sharded = sharded or shards > 1
     if network_model not in NETWORK_MODELS:
         raise SpecError(f"network_model must be one of {'/'.join(NETWORK_MODELS)}")
-    elastic = controller is not None and controller.epoch > 0
     if config.backend == "fluid":
         sampled = failure_model is not None or component_model is not None
         if failures or component_failures or sampled:
@@ -474,7 +470,7 @@ def check_composition(
                 "backend='fluid' cannot model failures (scripted, sampled, or "
                 "component-level); use the event backend for chaos/failure runs"
             )
-        if elastic:
+        if controller is not None:
             raise SpecError(
                 "backend='fluid' cannot model elastic controllers; "
                 "use the event backend or controller=None"
@@ -486,7 +482,7 @@ def check_composition(
             raise SpecError("--shards cannot be combined with --topology")
         if network_model != "none":
             raise SpecError("--shards cannot be combined with --network-model fabric")
-        if elastic:
+        if controller is not None:
             raise SpecError("--shards cannot be combined with an elastic controller")
     if topology:
         return
@@ -693,9 +689,10 @@ class ServingSimulator(_Simulator):
     Elastic control: ``controller`` names a
     :data:`repro.cluster.control.CONTROLLERS` entry (or is an instance);
     the engine steps it every ``controller.epoch`` seconds to spawn,
-    drain, or DVFS-throttle instances.  ``None`` and ``"static"`` are
-    bit-identical to the pre-control-plane engine.  With a topology, the
-    growth headroom is pre-placed so spawns land on concrete GPU groups.
+    drain, or DVFS-throttle instances.  ``None`` and ``"static"`` (which
+    resolves to ``None``) are bit-identical to the pre-control-plane
+    engine.  With a topology, the growth headroom is pre-placed so spawns
+    land on concrete GPU groups.
     ``economics`` sets the cost assumptions behind the report's
     gpu-seconds/energy/$ fields; per-pool detail is kept on
     ``self.last_economics`` after each run.

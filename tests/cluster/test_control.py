@@ -2,8 +2,9 @@
 
 The two invariants everything else leans on:
 
-1. ``controller=None`` and ``controller="static"`` replay the
-   pre-control-plane engine bit-for-bit (no controller events at all);
+1. ``controller=None`` and ``controller="static"`` (which resolves to
+   ``None``) replay the pre-control-plane engine bit-for-bit (no
+   controller events and no SLO window at all);
 2. the engine's incremental occupied/context counters equal a recount
    of the resident sequences after every event, even when controllers
    spawn, drain and retire instances mid-run (the property tests at the
@@ -24,11 +25,15 @@ from repro.cluster.control import (
     PowerCapController,
     ReactiveController,
     SLOController,
-    StaticController,
     get_controller,
 )
 from repro.cluster.economics import EconomicsConfig
-from repro.cluster.engine import ColocatedEngine, PhaseSplitEngine, ServiceTimeProvider
+from repro.cluster.engine import (
+    ColocatedEngine,
+    PhaseSplitEngine,
+    ServiceTimeProvider,
+    _EngineBase,
+)
 from repro.cluster.policies import get_policy_bundle
 from repro.cluster.power_manager import ClusterPowerManager
 from repro.cluster.provisioning import WorkloadForecast, provision_pools
@@ -101,7 +106,17 @@ class TestRegistry:
             get_controller(42)
 
     def test_static_never_steps(self):
-        assert StaticController().epoch == 0.0
+        assert get_controller("static") is None
+        assert get_controller("Static") is None
+
+    @pytest.mark.parametrize("epoch", [0.0, -1.0])
+    @pytest.mark.parametrize(
+        "cls", [ReactiveController, SLOController, ForecastController, PowerCapController]
+    )
+    def test_epoch_must_be_positive(self, cls, epoch):
+        """Every controller object steps: no-control is ``None``, not ``epoch=0``."""
+        with pytest.raises(SpecError, match="epoch must be positive"):
+            cls(epoch=epoch)
 
     def test_describe(self):
         text = ReactiveController().describe()
@@ -111,18 +126,44 @@ class TestRegistry:
 class TestStaticEquivalence:
     """static / None produce bit-identical reports (the golden guard)."""
 
+    METRICS = ("exact", "streaming")
+
     def test_phase_split(self):
         t = generate_trace(TraceConfig(rate=4.0, duration=20.0, output_tokens=80), seed=3)
-        none = ServingSimulator(pools(), CONFIG).run(t)
-        static = ServingSimulator(pools(), CONFIG, controller="static").run(t)
-        assert none == static
-        assert static.spawned_instances == 0 and static.retired_instances == 0
+        for metrics in self.METRICS:
+            config = SimConfig(max_sim_time=1200.0, metrics=metrics)
+            none = ServingSimulator(pools(), config).run(t)
+            static = ServingSimulator(pools(), config, controller="static").run(t)
+            assert none == static
+            assert static.spawned_instances == 0 and static.retired_instances == 0
 
     def test_colocated(self):
         t = generate_trace(TraceConfig(rate=4.0, duration=20.0, output_tokens=80), seed=3)
-        none = ColocatedSimulator(colocated(), CONFIG).run(t)
-        static = ColocatedSimulator(colocated(), CONFIG, controller="static").run(t)
-        assert none == static
+        for metrics in self.METRICS:
+            config = SimConfig(max_sim_time=1200.0, metrics=metrics)
+            none = ColocatedSimulator(colocated(), config).run(t)
+            static = ColocatedSimulator(colocated(), config, controller="static").run(t)
+            assert none == static
+
+    def test_static_run_keeps_no_slo_window(self, monkeypatch):
+        """Only controller epochs drain the per-request TTFT/TBT window, so a
+        static streaming run must not fill it: it would hold one entry per
+        request until the run ends."""
+        windows = []
+        run = _EngineBase.run
+
+        def spy(engine, trace):
+            out = run(engine, trace)
+            windows.append((len(engine._window_ttfts), len(engine._window_tbts)))
+            return out
+
+        monkeypatch.setattr(_EngineBase, "run", spy)
+        t = generate_trace(TraceConfig(rate=4.0, duration=20.0, output_tokens=80), seed=3)
+        config = SimConfig(max_sim_time=1200.0, metrics="streaming")
+        for sim_cls, deployment in ((ServingSimulator, pools()), (ColocatedSimulator, colocated())):
+            report = sim_cls(deployment, config, controller="static").run(t)
+            assert report.completed == len(t)
+        assert windows == [(0, 0), (0, 0)]
 
 
 class TestReactiveController:

@@ -541,6 +541,14 @@ class TestAutoscaleCommand:
         assert main(self._argv("--controllers", "nope")) == 2
         assert "unknown controller" in capsys.readouterr().err
 
+    def test_zero_epoch_is_clean_error(self, capsys):
+        """A controller that never steps is not a controller: ``--epoch 0``
+        is rejected before any run, not replayed as a copy of ``static``."""
+        assert main(["autoscale", "--rates", "1,8,1", "--segment", "20", "--epoch", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "epoch must be positive" in captured.err
+        assert captured.out == ""
+
     def test_single_rate_is_an_error(self, capsys):
         assert main(["autoscale", "--rates", "2"]) == 2
         assert "at least two segments" in capsys.readouterr().err

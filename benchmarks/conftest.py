@@ -11,8 +11,6 @@ asserting the reproduced shape.  Run with::
 
 from __future__ import annotations
 
-import pytest
-
 
 def emit(title: str, body: str) -> None:
     """Print a regenerated artifact with a recognizable banner."""

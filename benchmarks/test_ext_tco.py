@@ -13,7 +13,7 @@ from repro.cluster.spec import ClusterSpec
 from repro.core.search import search_best_config
 from repro.hardware.gpu import H100, LITE, LITE_MEMBW, LITE_MEMBW_NETBW
 from repro.hardware.tco import TCOAssumptions, cluster_tco
-from repro.workloads.models import LLAMA3_70B, PAPER_MODELS
+from repro.workloads.models import PAPER_MODELS
 
 from conftest import emit
 

@@ -9,7 +9,7 @@ Lite-GPUs and asserts the paper's qualitative split.
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
-from repro.network.traffic import TrafficPattern, pattern_topology_study
+from repro.network.traffic import pattern_topology_study
 
 from conftest import emit
 

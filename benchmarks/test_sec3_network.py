@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.tables import format_table
 from repro.network.fabric import compare_fabrics
 from repro.network.switches import (

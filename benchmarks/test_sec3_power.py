@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.tables import format_table
 from repro.cluster.power_manager import ClusterPowerManager, PeakStrategy, granularity_gain
 from repro.hardware.cooling import CoolingModel

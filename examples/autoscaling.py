@@ -92,7 +92,7 @@ def main() -> None:
         f"  energy {free.energy_joules / 3.6e6:.3f} -> "
         f"{capped.energy_joules / 3.6e6:.3f} kWh, "
         f"TBT mean {free.tbt_mean * 1e3:.1f} -> {capped.tbt_mean * 1e3:.1f} ms "
-        f"(DVFS throttle visible in latency, all "
+        "(DVFS throttle visible in latency, all "
         f"{capped.completed}/{len(trace)} requests served)"
     )
     print(

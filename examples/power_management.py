@@ -14,8 +14,6 @@ Run:  python examples/power_management.py
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.tables import format_table
 import os
 

@@ -14,7 +14,6 @@ from ..core.metrics import normalize_to_baseline
 from ..core.roofline import RooflinePolicy
 from ..core.search import SearchConstraints, search_best_config
 from ..errors import SpecError
-from ..hardware.die import DieSpec
 from ..hardware.evolution import GPU_GENERATIONS
 from ..hardware.gpu import (
     GPUSpec,

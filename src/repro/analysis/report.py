@@ -99,7 +99,7 @@ def experiment_report(policy: RooflinePolicy | None = None) -> str:
         f"silicon cost reduction = {CostModel().cost_reduction():.0%} (paper: ~50%)"
     )
     sections.append(
-        f"Section 3 claim: circuit vs packet switching energy saving = "
+        "Section 3 claim: circuit vs packet switching energy saving = "
         f"{circuit_vs_packet_energy_gain():.0%} (paper: >50%)"
     )
     return "\n\n".join(sections)

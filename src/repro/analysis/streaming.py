@@ -131,16 +131,21 @@ class QuantileSketch:
         bound).
         """
         total = math.fsum(weight for _, weight in items)
+        # Hoisted out of the loop; every float operation keeps its order.
+        span = 4.0 * total
+        compression = self.compression
         means: List[float] = []
         weights: List[float] = []
         cur_mean, cur_weight = items[0]
         before = 0.0
         for mean, weight in items[1:]:
+            merged = cur_weight + weight
             q = (before + cur_weight + weight / 2.0) / total
-            limit = scale * max(1.0, 4.0 * total * q * (1.0 - q) / self.compression)
-            if cur_weight + weight <= limit:
-                cur_mean += (mean - cur_mean) * (weight / (cur_weight + weight))
-                cur_weight += weight
+            bound = span * q * (1.0 - q) / compression
+            limit = scale * (bound if bound > 1.0 else 1.0)
+            if merged <= limit:
+                cur_mean += (mean - cur_mean) * (weight / merged)
+                cur_weight = merged
             else:
                 means.append(cur_mean)
                 weights.append(cur_weight)

@@ -15,7 +15,7 @@ capacity — :func:`quantization_waste` quantifies exactly that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import AllocationError, SpecError

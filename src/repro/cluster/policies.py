@@ -29,6 +29,8 @@ admission within the free slots and KV-token budget.
 [0, 1, 2]
 >>> get_policy_bundle("least-loaded").routing.order([3.0, 1.0, 2.0])
 [1, 2, 0]
+>>> get_policy_bundle("least-loaded").routing.first([3.0, 1.0, 1.0])
+1
 """
 
 from __future__ import annotations
@@ -80,6 +82,14 @@ class RoutingPolicy:
     def order(self, loads: Sequence[float]) -> List[int]:
         raise NotImplementedError
 
+    def first(self, loads: Sequence[float]) -> int:
+        """The instance offered work first: ``order(loads)[0]``.
+
+        A subclass may override it with a cheaper pick, provided it returns
+        the same index and leaves the policy in the state ``order`` would.
+        """
+        return self.order(loads)[0]
+
 
 class IndexOrderRouting(RoutingPolicy):
     """Scan instances 0..n-1 (the seed simulator's behaviour)."""
@@ -97,6 +107,11 @@ class LeastLoadedRouting(RoutingPolicy):
 
     def order(self, loads: Sequence[float]) -> List[int]:
         return sorted(range(len(loads)), key=lambda i: (loads[i], i))
+
+    def first(self, loads: Sequence[float]) -> int:
+        # min keeps the first of equal keys: the lowest index, as the sort's
+        # ``(load, index)`` key does.
+        return min(range(len(loads)), key=loads.__getitem__)
 
 
 class RoundRobinRouting(RoutingPolicy):

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..core.inference import DecodeWorkload, PrefillWorkload, decode_iteration, prefill_pass
 from ..core.search import SearchConstraints, search_best_config
 from ..errors import InfeasibleError, SpecError
 from ..hardware.gpu import GPUSpec

@@ -7,7 +7,7 @@ exercise (8x H100 vs. 32x Lite) generalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import SpecError

@@ -28,7 +28,6 @@ stage dimension, which is how a 32-GPU Lite cluster can run Llama3-405B as
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional
 

@@ -28,7 +28,7 @@ pays the latency ``alpha``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from ..errors import SpecError

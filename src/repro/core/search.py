@@ -16,8 +16,8 @@ tokens/s/SM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from ..errors import InfeasibleError, SimulationError, SpecError
 from ..exec.runner import Job, run_many

@@ -19,7 +19,7 @@ the attention stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..errors import SpecError

@@ -26,13 +26,12 @@ inference study.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..errors import InfeasibleError, SpecError
 from ..hardware.gpu import GPUSpec
 from ..workloads.transformer import ModelSpec
-from .inference import Phase, _pass_time
+from .inference import _pass_time
 from .parallelism import TensorParallel
 from .roofline import RooflinePolicy, tp_allreduce_time
 from .stages import prefill_stage_costs

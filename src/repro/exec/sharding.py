@@ -86,8 +86,10 @@ def shard_requests(
 
     ``policy`` is a :data:`~repro.cluster.policies.ROUTING_POLICIES` name
     (or instance) ranking shards by load; each request goes to the policy's
-    first choice, where a shard's load is its assigned prompt+output tokens
-    divided by its ``weights`` entry (shard capacity — defaults to equal).
+    first choice (:meth:`~repro.cluster.policies.RoutingPolicy.first`, the
+    head of its ``order``), where a shard's load is its assigned
+    prompt+output tokens divided by its ``weights`` entry (shard capacity —
+    defaults to equal).
     The default ``"least-loaded"`` keeps shards token-balanced;
     ``"round-robin"`` stripes; ``"index-order"`` sends everything to shard
     0 (degenerate, but honest to the policy's semantics).
@@ -108,7 +110,7 @@ def shard_requests(
     shards: List[List[Any]] = [[] for _ in range(n_shards)]
     loads = [0.0] * n_shards
     for request in trace:
-        target = router.order(loads)[0]
+        target = router.first(loads)
         shards[target].append(request)
         tokens = request.prompt_tokens + request.output_tokens
         loads[target] += tokens / scale[target]

@@ -172,7 +172,7 @@ class PowerModel:
         """Energy (J) over a load profile sampled every ``interval_s``."""
         if interval_s <= 0:
             raise SpecError("interval_s must be positive")
-        return float(sum(self.power_at_load(float(l), policy) for l in loads) * interval_s)
+        return float(sum(self.power_at_load(float(load), policy) for load in loads) * interval_s)
 
     def savings_vs_base(self, loads: np.ndarray, interval_s: float, policy: ClockPolicy) -> float:
         """Fractional energy saving of ``policy`` vs. ALWAYS_BASE."""

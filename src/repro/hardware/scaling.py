@@ -18,7 +18,6 @@ sweep split factors and shoreline allocations continuously.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..errors import SpecError

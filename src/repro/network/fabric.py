@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ..errors import SpecError
 from ..units import GB_PER_S, KILOWATT
-from .switches import SwitchKind, SwitchSpec
+from .switches import SwitchSpec
 from .topology import DirectConnectTopology, FlatCircuitTopology, SwitchedTopology, Topology
 
 

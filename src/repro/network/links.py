@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .._registry import Registry
 from ..errors import SpecError
-from ..units import GB_PER_S, NS, PJ, US
+from ..units import GB_PER_S, NS, PJ
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 

@@ -25,7 +25,6 @@ keep slowdowns bounded.
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 

@@ -18,9 +18,10 @@ from __future__ import annotations
 import enum
 import hashlib
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -130,15 +131,21 @@ def _sample_lengths(
     return np.clip(lengths, 1, maximum)
 
 
-def generate_trace(config: TraceConfig, seed: int = 0) -> List[Request]:
-    """Generate a request trace according to ``config``.
+#: Requests built per ``tolist()`` batch of a window's draws.
+_BATCH = 256
 
-    Arrivals are Poisson (exponential gaps) or evenly spaced; the trace is
-    truncated at ``config.duration`` seconds.
 
-    >>> trace = generate_trace(TraceConfig(rate=5, duration=10), seed=1)
-    >>> all(r.arrival <= 10 for r in trace)
-    True
+def _window(
+    config: TraceConfig, seed: int, first_id: int = 0, start: float = 0.0
+) -> Tuple[int, Iterator[Request]]:
+    """Draw one trace window: its request count and its requests, built lazily.
+
+    Arrivals are Poisson (exponential gaps) or evenly spaced, truncated at
+    ``config.duration`` seconds, then shifted by ``start`` (one float
+    addition, ``arrival + start``); ids run from ``first_id``.  Each
+    ``Request`` is built once, on demand, from the ``tolist()`` values of
+    the draws, ``_BATCH`` requests at a time: a window holds its draws as
+    arrays, not requests, and its temporary lists never grow with it.
     """
     rng = np.random.default_rng(seed)
     expected = config.rate * config.duration
@@ -157,11 +164,31 @@ def generate_trace(config: TraceConfig, seed: int = 0) -> List[Request]:
     outputs = _sample_lengths(
         rng, config.output_dist, config.output_tokens, config.output_spread, config.max_output, n
     )
-    return [
-        Request(request_id=i, arrival=float(arrivals[i]),
-                prompt_tokens=int(prompts[i]), output_tokens=int(outputs[i]))
-        for i in range(n)
-    ]
+    ids = range(first_id, first_id + n)
+    batches = (
+        map(
+            Request,
+            ids[lo : lo + _BATCH],
+            (arrivals[lo : lo + _BATCH] + start).tolist(),
+            prompts[lo : lo + _BATCH].tolist(),
+            outputs[lo : lo + _BATCH].tolist(),
+        )
+        for lo in range(0, n, _BATCH)
+    )
+    return n, itertools.chain.from_iterable(batches)
+
+
+def generate_trace(config: TraceConfig, seed: int = 0) -> List[Request]:
+    """Generate a request trace according to ``config``.
+
+    Arrivals are Poisson (exponential gaps) or evenly spaced; the trace is
+    truncated at ``config.duration`` seconds.
+
+    >>> trace = generate_trace(TraceConfig(rate=5, duration=10), seed=1)
+    >>> all(r.arrival <= 10 for r in trace)
+    True
+    """
+    return list(_window(config, seed)[1])
 
 
 def iter_trace(
@@ -180,7 +207,12 @@ def iter_trace(
     content hash, so the stream is fully deterministic for a given
     ``(config, seed, window)`` — two iterations yield identical requests —
     but it is a *different* (equally distributed) trace than the one-shot
-    :func:`generate_trace` draw or another window size.
+    :func:`generate_trace` draw or another window size.  Window ``k`` is
+    exactly :func:`generate_trace` of that window's span and seed with ids
+    offset by the requests before it and arrivals by the window's start
+    (``arrival + start``).  Each yielded ``Request`` is constructed once:
+    a window holds its draws as arrays and builds each request when it is
+    taken, never a list of requests.
 
     >>> config = TraceConfig(rate=5, duration=120)
     >>> lazy = list(iter_trace(config, seed=1, window=30.0))
@@ -198,17 +230,11 @@ def iter_trace(
     index = 0
     while start < config.duration:
         span = min(window, config.duration - start)
-        segment = generate_trace(
-            replace(config, duration=span), seed=derive_seed(seed, "window", index)
+        count, requests = _window(
+            replace(config, duration=span), derive_seed(seed, "window", index), next_id, start
         )
-        for r in segment:
-            yield Request(
-                request_id=next_id,
-                arrival=r.arrival + start,
-                prompt_tokens=r.prompt_tokens,
-                output_tokens=r.output_tokens,
-            )
-            next_id += 1
+        yield from requests
+        next_id += count
         start += span
         index += 1
 
@@ -262,18 +288,7 @@ def generate_piecewise_trace(
     start = 0.0
     for index, (rate, duration) in enumerate(segments):
         config = replace(base, rate=rate, duration=duration)
-        segment = generate_trace(config, seed=derive_seed(seed, "segment", index))
-        pieces.append(
-            [
-                Request(
-                    request_id=r.request_id,
-                    arrival=r.arrival + start,
-                    prompt_tokens=r.prompt_tokens,
-                    output_tokens=r.output_tokens,
-                )
-                for r in segment
-            ]
-        )
+        pieces.append(list(_window(config, derive_seed(seed, "segment", index), 0, start)[1]))
         start += duration
     return merge_traces(*pieces)
 

@@ -8,6 +8,7 @@ matter how long the stream runs.
 
 from __future__ import annotations
 
+import math
 import pickle
 
 import numpy as np
@@ -143,6 +144,58 @@ class TestSketchMerge:
         clone = pickle.loads(pickle.dumps(sketch))
         assert clone.count == sketch.count
         assert clone.quantile(0.99) == sketch.quantile(0.99)
+
+
+def _reference_compress(sketch, items, scale=1.0):
+    """``QuantileSketch._compress`` as it stood before its loop was trimmed,
+    kept verbatim: the reference the shipped loop must match bit for bit."""
+    self = sketch
+    total = math.fsum(weight for _, weight in items)
+    means = []
+    weights = []
+    cur_mean, cur_weight = items[0]
+    before = 0.0
+    for mean, weight in items[1:]:
+        q = (before + cur_weight + weight / 2.0) / total
+        limit = scale * max(1.0, 4.0 * total * q * (1.0 - q) / self.compression)
+        if cur_weight + weight <= limit:
+            cur_mean += (mean - cur_mean) * (weight / (cur_weight + weight))
+            cur_weight += weight
+        else:
+            means.append(cur_mean)
+            weights.append(cur_weight)
+            before += cur_weight
+            cur_mean, cur_weight = mean, weight
+    means.append(cur_mean)
+    weights.append(cur_weight)
+    return means, weights
+
+
+#: Mean-sorted (mean, weight) centroids: singletons (weight 1.0, as a flush
+#: feeds them) mixed with merged centroids of larger weight.
+_CENTROIDS = st.lists(
+    st.tuples(
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        st.one_of(st.just(1.0), st.floats(1.0, 500.0)),
+    ),
+    min_size=1,
+    max_size=400,
+).map(sorted)
+
+
+class TestCompressExactness:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        items=_CENTROIDS,
+        compression=st.integers(20, 400),
+        scale=st.sampled_from([1.0, 2.0, 4.0, 8.0]),
+    )
+    def test_matches_reference_loop(self, items, compression, scale):
+        sketch = QuantileSketch(compression)
+        means, weights = sketch._compress(items, scale)
+        ref_means, ref_weights = _reference_compress(sketch, items, scale)
+        assert [m.hex() for m in means] == [m.hex() for m in ref_means]
+        assert [w.hex() for w in weights] == [w.hex() for w in ref_weights]
 
 
 class TestReservoirSampler:

@@ -287,6 +287,33 @@ class TestForecastController:
         with pytest.raises(SpecError):
             ForecastController(profile=[(0.0, -1.0)])
 
+    def test_step_rejects_a_pool_without_baseline(self):
+        ctrl = ForecastController(base_counts={"decode": 2})
+        obs = ControlObservation(
+            time=0.0, pools={"decode": stats(), "prefill": stats(alive=1)}
+        )
+        with pytest.raises(SpecError, match="no baseline for pool 'prefill'"):
+            ctrl.step(obs)
+
+    def test_plan_baselines_on_colocated_burst_are_an_error(self):
+        """A plan sizes ``prefill`` and ``decode`` only, so on a colocated
+        pool a plan-seeded controller once skipped every step: 0 spawns and
+        0 drains on this burst, where default baselines scale 6 and 6."""
+        trace = bursty_trace(low=1.0, high=12.0, segment=40.0, seed=0)
+        profile = [(0.0, 1.0), (40.0, 4.0), (80.0, 1.0)]
+
+        def run(ctrl):
+            return ColocatedSimulator(
+                colocated(n_instances=2), CONFIG, controller=ctrl
+            ).run(trace)
+
+        report = run(ForecastController(profile=profile, epoch=5.0, warmup_s=10.0))
+        assert (report.spawned_instances, report.retired_instances) == (6, 6)
+        plan = provision_pools(LLAMA3_8B, H100, H100, WorkloadForecast(rate=3.0))
+        seeded = ForecastController.from_plan(plan, profile=profile, epoch=5.0, warmup_s=10.0)
+        with pytest.raises(SpecError, match="no baseline for pool 'colocated'"):
+            run(seeded)
+
 
 class TestPowerCapController:
     def manager(self, count=6):

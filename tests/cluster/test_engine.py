@@ -20,6 +20,7 @@ from repro.cluster.engine import (
     ActiveSequence,
     DecodeState,
     EventQueue,
+    NetworkAwareServiceTimeProvider,
     ServiceTimeProvider,
     _EngineBase,
     _tail_mean,
@@ -29,10 +30,12 @@ from repro.cluster.failures import FailureModel
 from repro.cluster.resilience import ResilienceConfig
 from repro.cluster.scheduler import ColocatedPool, InstanceSpec, PhasePools
 from repro.cluster.simulator import ColocatedSimulator, ServingSimulator, SimConfig
+from repro.core.chunked import MixedIteration, mixed_iteration_time
 from repro.errors import SpecError
 from repro.hardware.gpu import H100
+from repro.network.topology import SwitchedTopology
 from repro.workloads.models import LLAMA3_8B
-from repro.workloads.traces import Request, TraceConfig, generate_trace
+from repro.workloads.traces import LengthDistribution, Request, TraceConfig, generate_trace
 
 
 def instance() -> InstanceSpec:
@@ -157,6 +160,78 @@ class TestServiceTimeProvider:
                 raise RuntimeError("raised inside the scope")
         assert _SHARED_MEMOS.get() is None
         assert ServiceTimeProvider(instance()).cache_info()["entries"] == 0
+
+
+def _direct_mixed(spec: InstanceSpec, key: tuple) -> float:
+    """A memoized mixed-iteration latency evaluated afresh from its key."""
+    _, batch, context, chunk, prompt = key
+    iteration = MixedIteration(
+        decode_batch=batch, context_len=context, chunk=chunk, prompt_len=prompt
+    )
+    return mixed_iteration_time(
+        spec.model, spec.gpu, spec.n_gpus, iteration, spec.policy
+    ).iteration_time
+
+
+_LENGTH = st.one_of(st.integers(-3, 20_000), st.floats(-3.0, 20_000.0))
+
+
+class TestMixedMemoExactness:
+    """``mixed_time``'s flat lookup ≡ the ``_bucket``/``_memo`` path it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        batch=st.integers(1, 256),
+        context=_LENGTH,
+        chunk=st.integers(0, 512),
+        prompt=_LENGTH,
+        bucket=st.sampled_from([1, 7, 16, 64]),
+    )
+    def test_key_and_value_match_the_bucketed_path(self, batch, context, chunk, prompt, bucket):
+        provider = ServiceTimeProvider(instance(), context_bucket=bucket)
+        value = provider.mixed_time(batch, context, chunk, prompt)
+        (key,) = provider._cache
+        assert key == ("m", batch, provider._bucket(context), chunk, provider._bucket(prompt))
+        assert value.hex() == _direct_mixed(provider.instance, key).hex()
+        assert provider.mixed_time(batch, context, chunk, prompt) == value
+        assert (provider.hits, provider.misses) == (1, 1)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        bucket=st.sampled_from([1, 16]),
+        fabric=st.booleans(),
+    )
+    def test_colocated_run_memo_equals_direct_evaluation(self, seed, bucket, fabric):
+        spec = InstanceSpec(LLAMA3_8B, H100, 2 if fabric else 1)
+        pool = ColocatedPool(instance=spec, n_instances=2, max_decode_batch=64)
+        options = (
+            dict(topology=SwitchedTopology(n_gpus=4), network_model="fabric") if fabric else {}
+        )
+        sim = ColocatedSimulator(pool, SimConfig(context_bucket=bucket), **options)
+        assert isinstance(sim.provider, NetworkAwareServiceTimeProvider) == fabric
+        trace = generate_trace(
+            TraceConfig(rate=8.0, duration=10.0, prompt_dist=LengthDistribution.LOGNORMAL,
+                        output_tokens=40, output_spread=0.5),
+            seed=seed,
+        )
+        calls = [0]
+        lookup = ServiceTimeProvider.mixed_time
+
+        def counting(provider, *args, **kwargs):
+            calls[0] += 1
+            return lookup(provider, *args, **kwargs)
+
+        with _patched(ServiceTimeProvider, "mixed_time", counting):
+            report = sim.run(trace)
+        assert report.completed == len(trace) > 0
+        provider = sim.provider
+        assert provider.hits + provider.misses == calls[0] > provider.misses > 0
+        entries = [(key, value) for key, value in provider._cache.items() if key[0] == "m"]
+        assert len(entries) == provider.misses
+        for key, value in entries:
+            assert value.hex() == _direct_mixed(spec, key).hex()
+            assert key[2] % bucket == 0 and key[4] % bucket == 0
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.policies import (
     ADMISSION_POLICIES,
@@ -88,6 +90,33 @@ class TestRouting:
         assert rr.order([0, 0, 0]) == [1, 2, 0]
         assert rr.order([0, 0, 0]) == [2, 0, 1]
         assert rr.order([]) == []
+
+
+#: Few distinct values, so most drawn load vectors hold ties.
+_LOADS = st.lists(st.sampled_from([0.0, 1.0, 2.5, 7.0, 1e9]), min_size=1, max_size=9)
+
+
+class TestRoutingFirst:
+    """``first(loads)`` is exactly the head of ``order(loads)``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(sorted(ROUTING_POLICIES.names())), loads=_LOADS)
+    def test_first_is_head_of_order(self, name, loads):
+        assert ROUTING_POLICIES.get(name)().first(loads) == (
+            ROUTING_POLICIES.get(name)().order(loads)[0]
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(ROUTING_POLICIES.names())),
+        rounds=st.lists(_LOADS, min_size=1, max_size=12),
+    )
+    def test_instances_stay_in_step(self, name, rounds):
+        """One instance picks with ``first``, a twin with ``order``: a
+        stateful policy (round-robin's rotation) must advance alike."""
+        picker, twin = ROUTING_POLICIES.get(name)(), ROUTING_POLICIES.get(name)()
+        for loads in rounds:
+            assert picker.first(loads) == twin.order(loads)[0]
 
 
 class TestPrefillBatching:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.provisioning import (
-    ProvisioningPlan,
     WorkloadForecast,
     phase_gpu_ratio,
     provision_pools,

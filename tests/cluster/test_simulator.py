@@ -10,8 +10,8 @@ from repro.cluster.scheduler import InstanceSpec, PhasePools
 from repro.cluster.simulator import ServingSimulator, SimConfig
 from repro.errors import SpecError
 from repro.exec import RunSpec
-from repro.hardware.gpu import H100, LITE, LITE_MEMBW, LITE_NETBW_FLOPS
-from repro.workloads.models import LLAMA3_8B, LLAMA3_70B
+from repro.hardware.gpu import H100, LITE_MEMBW, LITE_NETBW_FLOPS
+from repro.workloads.models import LLAMA3_8B
 from repro.workloads.traces import Request, TraceConfig, generate_trace
 
 

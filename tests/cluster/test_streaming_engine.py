@@ -1,10 +1,11 @@
-"""Streaming-vs-exact engine parity and iterator trace feeding.
+"""Streaming-vs-exact engine parity, iterator trace feeding, the pinned day.
 
 ``metrics="exact"`` bit-identity to the seed goldens is pinned separately
 in ``benchmarks/test_serving_simulation.py``; this file pins what the
 streaming mode promises instead: exact counters, ≤1% p50/p99 latency
 quantiles, bounded state, and identical behaviour for list and iterator
-traces.
+traces.  ``TestPinnedStreamingDay`` pins every field of the streaming-day
+path's outputs — lazy traces, colocated pools, sketches and sharded runs.
 """
 
 from __future__ import annotations
@@ -15,9 +16,17 @@ import pytest
 from repro.cluster.scheduler import ColocatedPool, InstanceSpec, PhasePools
 from repro.cluster.simulator import ColocatedSimulator, ServingSimulator, SimConfig
 from repro.errors import SpecError
+from repro.exec.sharding import run_sharded
 from repro.hardware.gpu import H100
 from repro.workloads.models import LLAMA3_8B
-from repro.workloads.traces import TraceConfig, generate_trace, iter_trace
+from repro.workloads.traces import (
+    LengthDistribution,
+    TraceConfig,
+    generate_piecewise_trace,
+    generate_trace,
+    iter_trace,
+    trace_fingerprint,
+)
 
 
 def _pools(n_prefill=2, n_decode=2):
@@ -139,3 +148,86 @@ class TestIteratorTraces:
         from_list = ColocatedSimulator(_colocated(), config).run(trace)
         from_iter = ColocatedSimulator(_colocated(), config).run(iter(trace))
         assert from_iter == from_list
+
+
+# --- the pinned streaming day -------------------------------------------------
+
+STREAM_POOL = ColocatedPool(
+    instance=InstanceSpec(LLAMA3_8B, H100, 1), n_instances=4, max_decode_batch=128
+)
+#: Lognormal prompts, and a last window shorter than the others (23 s in
+#: 5 s windows), so window offsets, context buckets and routing all vary.
+STREAM_TRACE = TraceConfig(
+    rate=120.0, duration=23.0, prompt_dist=LengthDistribution.LOGNORMAL,
+    output_tokens=32, output_spread=0.5,
+)
+STREAM_WINDOW = 5.0
+
+
+def _stream(seed=0):
+    return iter_trace(STREAM_TRACE, seed=seed, window=STREAM_WINDOW)
+
+
+def _colocated_stream(**options):
+    return ColocatedSimulator(STREAM_POOL, SimConfig(**options)).run(_stream())
+
+
+def _fingerprint(trace):
+    requests = list(trace)
+    return {"requests": len(requests), "fingerprint": trace_fingerprint(requests)}
+
+
+def _stream_pin_cases():
+    cases = {}
+    for policy in ("least-loaded", "round-robin"):
+        for seed in (0, 1):
+            cases[f"stream_sharded_{policy.replace('-', '_')}_seed{seed}"] = (
+                lambda policy=policy, seed=seed: run_sharded(
+                    STREAM_POOL, _stream(seed), SimConfig(), shards=2, shard_policy=policy
+                )
+            )
+    for bucket in (1, 16):
+        cases[f"stream_colocated_bucket{bucket}"] = lambda bucket=bucket: _colocated_stream(
+            metrics="streaming", context_bucket=bucket
+        )
+    cases["stream_colocated_exact"] = lambda: ColocatedSimulator(
+        STREAM_POOL, SimConfig()
+    ).run(list(_stream()))
+    cases["stream_fingerprint_iter_default"] = lambda: _fingerprint(
+        iter_trace(TraceConfig(rate=50.0, duration=30.0), seed=0, window=7.0)
+    )
+    cases["stream_fingerprint_iter_lognormal"] = lambda: _fingerprint(_stream(seed=1))
+    cases["stream_fingerprint_piecewise_default"] = lambda: _fingerprint(
+        generate_piecewise_trace([(2.0, 10.0), (8.0, 10.0), (3.0, 5.0)], seed=1)
+    )
+    cases["stream_fingerprint_piecewise_uniform"] = lambda: _fingerprint(
+        generate_piecewise_trace(
+            [(40.0, 3.5), (5.0, 2.0)],
+            base=TraceConfig(
+                prompt_dist=LengthDistribution.UNIFORM, output_tokens=64,
+                poisson_arrivals=False,
+            ),
+            seed=4,
+        )
+    )
+    return cases
+
+
+#: name -> a call producing the pinned SimReport (or trace fingerprint).
+STREAM_PINS = _stream_pin_cases()
+
+
+class TestPinnedStreamingDay:
+    """Every field of the streaming day's outputs is pinned (``assert_pinned``).
+
+    Sharded colocated runs over ``iter_trace`` (two seeds × the
+    ``least-loaded`` and ``round-robin`` shard policies), unsharded
+    streaming runs at ``context_bucket`` 1 and 16, an exact run over the
+    materialized lazy trace, and the fingerprints of lazy and piecewise
+    traces.  Recorded before the trace builder, the colocated memo hit,
+    the shard pick and the sketch compression were rewritten.
+    """
+
+    @pytest.mark.parametrize("name", sorted(STREAM_PINS))
+    def test_matches_pin(self, assert_pinned, name):
+        assert_pinned(name, STREAM_PINS[name]())

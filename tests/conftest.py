@@ -13,7 +13,7 @@ from repro.cluster.engine import ColocatedState, DecodeState
 from repro.core.roofline import CommModel, RooflinePolicy
 from repro.core.search import SearchConstraints
 from repro.hardware.gpu import H100, LITE, LITE_MEMBW, LITE_NETBW
-from repro.workloads.models import GPT3_175B, LLAMA3_8B, LLAMA3_70B, LLAMA3_405B
+from repro.workloads.models import GPT3_175B, LLAMA3_70B, LLAMA3_405B
 
 
 @pytest.fixture
@@ -55,12 +55,15 @@ PINNED_REPORTS = Path(__file__).parent / "cluster" / "pinned_reports.json"
 
 @pytest.fixture(scope="session")
 def assert_pinned():
-    """``check(name, report)``: counters exactly, floats to ``rel=1e-12``."""
+    """``check(name, report)``: counters exactly, floats to ``rel=1e-12``.
+
+    ``report`` is a dataclass (a ``SimReport``) or a plain dict of fields.
+    """
     pins = json.loads(PINNED_REPORTS.read_text())
 
     def check(name: str, report) -> None:
         pinned = pins[name]
-        fields = dataclasses.asdict(report)
+        fields = report if isinstance(report, dict) else dataclasses.asdict(report)
         assert fields.keys() == pinned.keys()
         for key, value in pinned.items():
             if isinstance(value, float):

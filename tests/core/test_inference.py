@@ -102,10 +102,10 @@ class TestDecode:
         which is identical for H100 and base Lite — so their latencies are
         within 2x of each other (network is the separator)."""
         h = decode_iteration(LLAMA3_70B, H100, 2, DecodeWorkload(280))
-        l = decode_iteration(LLAMA3_70B, LITE, 8, DecodeWorkload(280))
-        assert h.fits_memory and l.fits_memory
+        lite = decode_iteration(LLAMA3_70B, LITE, 8, DecodeWorkload(280))
+        assert h.fits_memory and lite.fits_memory
         assert h.memory_utilization > 0.85
-        assert l.latency / h.latency < 2.0
+        assert lite.latency / h.latency < 2.0
 
 
 class TestPolicyEffects:

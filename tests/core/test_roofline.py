@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.core.roofline import (
     CommModel,
     RooflinePolicy,
-    StageTime,
     compose_stage_time,
     tp_allgather_time,
     tp_allreduce_time,

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.inference import DecodeWorkload, PrefillWorkload, decode_iteration, prefill_pass
-from repro.core.roofline import RooflinePolicy
 from repro.core.training import TrainingConfig, train_step
 from repro.hardware.gpu import GPUSpec, H100, LITE
 from repro.hardware.scaling import LiteScaling, derive_lite_gpu

@@ -9,7 +9,7 @@ from repro.cluster.simulator import ServingSimulator, SimConfig
 from repro.cluster.spec import ClusterSpec, lite_equivalent
 from repro.core.inference import DecodeWorkload, PrefillWorkload, decode_iteration, prefill_pass
 from repro.core.roofline import CommModel, RooflinePolicy
-from repro.core.search import SearchConstraints, search_best_config
+from repro.core.search import search_best_config
 from repro.hardware.cost import CostModel
 from repro.hardware.gpu import H100, LITE, LITE_MEMBW, LITE_NETBW_FLOPS
 from repro.hardware.scaling import LiteScaling, derive_lite_gpu

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import RegistryError
 from repro.workloads.models import (
     GPT3_175B,
-    LLAMA3_8B,
     LLAMA3_70B,
     LLAMA3_405B,
     MODELS,

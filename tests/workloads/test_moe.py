@@ -13,7 +13,6 @@ from repro.errors import SpecError
 from repro.hardware.gpu import H100, LITE_MEMBW
 from repro.workloads.moe import MIXTRAL_8X7B, MoEModelSpec
 from repro.workloads.models import get_model
-from repro.workloads.transformer import MLPKind
 
 
 def tiny_moe(**overrides) -> MoEModelSpec:

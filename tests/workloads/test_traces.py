@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SpecError
+from repro.exec.seeding import derive_seed
+from repro.workloads import traces
 from repro.workloads.traces import (
     LengthDistribution,
     Request,
     TraceConfig,
+    generate_piecewise_trace,
     generate_trace,
+    iter_trace,
     trace_stats,
 )
 
@@ -214,3 +220,75 @@ class TestIterTrace:
         trace = list(iter_trace(TraceConfig(rate=5, duration=60), seed=seed, window=window))
         assert all(x.arrival <= y.arrival for x, y in zip(trace, trace[1:]))
         assert [r.request_id for r in trace] == list(range(len(trace)))
+
+
+def _fields(request):
+    """A request's fields, the arrival by ``float.hex`` (exact)."""
+    return (
+        request.request_id, request.arrival.hex(), request.prompt_tokens,
+        request.output_tokens, request.priority, request.deadline,
+    )
+
+
+class TestWindowExactness:
+    """``iter_trace`` ≡ ``generate_trace`` per window, with the shift applied."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rate=st.floats(0.2, 150.0),
+        duration=st.floats(0.5, 40.0),
+        window=st.floats(0.3, 25.0),
+        seed=st.integers(0, 2**31),
+        prompt_dist=st.sampled_from(list(LengthDistribution)),
+        poisson=st.booleans(),
+    )
+    def test_each_window_is_the_shifted_generate_trace(
+        self, rate, duration, window, seed, prompt_dist, poisson
+    ):
+        config = TraceConfig(
+            rate=rate, duration=duration, prompt_dist=prompt_dist, poisson_arrivals=poisson
+        )
+        expected = []
+        start, index = 0.0, 0
+        while start < duration:
+            span = min(window, duration - start)
+            segment = generate_trace(
+                replace(config, duration=span), seed=derive_seed(seed, "window", index)
+            )
+            first_id = len(expected)
+            expected += [
+                (first_id + r.request_id, (r.arrival + start).hex(), r.prompt_tokens,
+                 r.output_tokens, 0, None)
+                for r in segment
+            ]
+            start += span
+            index += 1
+        lazy = [_fields(r) for r in iter_trace(config, seed=seed, window=window)]
+        assert lazy == expected
+
+
+class TestOneConstructionPerRequest:
+    """Trace builders construct each ``Request`` once, not a copy per stage."""
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        count = [0]
+
+        def counting(*args, **kwargs):
+            count[0] += 1
+            return Request(*args, **kwargs)
+
+        monkeypatch.setattr(traces, "Request", counting)
+        return count
+
+    def test_iter_trace(self, constructions):
+        lazy = list(iter_trace(TraceConfig(rate=40, duration=23), seed=3, window=5.0))
+        assert len(lazy) > 0
+        assert constructions[0] == len(lazy)
+
+    def test_piecewise_segments(self, constructions):
+        # merge_traces renumbers through dataclasses.replace, which builds
+        # from the class itself: the count covers the segment builds only.
+        trace = generate_piecewise_trace([(5.0, 4.0), (30.0, 3.0)], seed=2)
+        assert len(trace) > 0
+        assert constructions[0] == len(trace)
